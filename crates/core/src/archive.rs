@@ -13,9 +13,7 @@
 //! the preservation vault replicates over:
 //! [`store`](PreservationArchive::store) writes the serialized container
 //! to a backend, [`open`](PreservationArchive::open) reads it back with
-//! integrity verified. The earlier one-shot
-//! [`package`](PreservationArchive::package) constructor remains as a
-//! deprecated wrapper with byte-identical output.
+//! integrity verified.
 
 use std::collections::BTreeMap;
 
@@ -244,22 +242,6 @@ impl PreservationArchive {
         }
     }
 
-    /// Package a finished production run into an archive.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use PreservationArchive::builder(name).production(wf, ctx, out)?.build()"
-    )]
-    pub fn package(
-        name: &str,
-        workflow: &PreservedWorkflow,
-        ctx: &ExecutionContext,
-        output: &ProductionOutput,
-    ) -> Result<PreservationArchive, ArchiveError> {
-        Ok(PreservationArchive::builder(name)
-            .production(workflow, ctx, output)?
-            .build())
-    }
-
     /// Serialize the container and store it on a [`StorageBackend`]
     /// under `key` — the write half of the storage surface shared with
     /// the preservation vault.
@@ -473,20 +455,6 @@ mod tests {
             .production(&wf, &ctx, &out)
             .expect("packages")
             .build()
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_package_is_byte_identical_to_the_builder() {
-        let wf = PreservedWorkflow::standard_z(Experiment::Cms, 3, 30);
-        let ctx = ExecutionContext::fresh(&wf);
-        let out = wf
-            .execute(&ctx, &crate::runner::ExecOptions::default())
-            .expect("executes");
-        let old = PreservationArchive::package("sample", &wf, &ctx, &out).unwrap();
-        let new = sample_archive();
-        assert_eq!(old, new);
-        assert_eq!(old.to_bytes(), new.to_bytes());
     }
 
     #[test]

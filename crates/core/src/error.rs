@@ -102,8 +102,8 @@ impl Error {
         &self.kind
     }
 
-    /// Recover the archive error for legacy `Result<_, ArchiveError>`
-    /// signatures (the deprecated `validate*` wrappers). Non-archive
+    /// Recover the archive error for `Result<_, ArchiveError>`
+    /// signatures (faultlab's container labels). Non-archive
     /// kinds degrade to `ArchiveError::Packaging` with the full message.
     pub fn into_archive_error(self) -> ArchiveError {
         match self.kind {

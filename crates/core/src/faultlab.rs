@@ -211,9 +211,9 @@ pub enum MutationKind {
         sub: Box<MutationKind>,
     },
     /// Damage one replica's stored copy of one vault object: apply `sub`
-    /// to that replica's envelope bytes and write the result back to the
-    /// backend, leaving the other replicas pristine. VaultReplica class
-    /// only.
+    /// to that replica's envelope bytes (or, for `StaleGeneration`,
+    /// replace them) and write the result back to the backend, leaving
+    /// the other replicas pristine. VaultReplica class only.
     VaultReplica {
         /// The vault key attacked.
         key: String,
@@ -221,6 +221,14 @@ pub enum MutationKind {
         replica: usize,
         /// The byte-level mutation applied to the stored envelope.
         sub: Box<MutationKind>,
+    },
+    /// Replace a stored copy with another vault object's pristine
+    /// envelope — a stale write generation that is digest-valid and
+    /// deep-valid, so only the replica vote can catch it. Used as the
+    /// `sub` of a `VaultReplica` mutation.
+    StaleGeneration {
+        /// The key whose pristine envelope is written over the copy.
+        source: String,
     },
     /// Damage one service wire frame: apply `sub` to the pristine
     /// request (or response) frame bytes. ServeFrame class only.
@@ -376,6 +384,9 @@ impl fmt::Display for MutationKind {
                 write!(f, "duplicate {len} bytes @{start}")
             }
             MutationKind::ForgeResults { sub } => write!(f, "forge results [{sub}]"),
+            MutationKind::StaleGeneration { source } => {
+                write!(f, "stale generation of {source}")
+            }
             MutationKind::VaultReplica { key, replica, sub } => {
                 write!(f, "vault {key} replica {replica} [{sub}]")
             }
@@ -423,7 +434,7 @@ impl MutationKind {
             MutationKind::ForgeResults { .. } => {
                 unreachable!("ForgeResults is applied through the archive API")
             }
-            MutationKind::VaultReplica { .. } => {
+            MutationKind::VaultReplica { .. } | MutationKind::StaleGeneration { .. } => {
                 unreachable!("VaultReplica is applied through the vault API")
             }
             MutationKind::ServeFrame { .. } => {
@@ -1071,11 +1082,20 @@ pub fn derive_mutation(
     let seed = derive_seed(cfg.master_seed, class, index);
     let mut rng = StdRng::seed_from_u64(seed);
     let kind = if class == ArtifactClass::VaultReplica {
-        // Pick a stored object, pick a replica, then sample a byte-level
-        // attack over that object's envelope.
-        let object = rng.gen_range(0..fixture.vault_objects.len());
+        // Pick a stored object, pick a replica, then either write a
+        // stale generation (another object's envelope) over the copy or
+        // sample a byte-level attack over that object's envelope.
+        let objects = fixture.vault_objects.len();
+        let object = rng.gen_range(0..objects);
         let replica = rng.gen_range(0..VAULT_REPLICAS);
-        let sub = sample_kind(&mut rng, &fixture.vault_shapes[object], None);
+        let sub = if rng.gen_range(0..8u32) == 0 {
+            let other = (object + 1 + rng.gen_range(0..objects - 1)) % objects;
+            MutationKind::StaleGeneration {
+                source: fixture.vault_objects[other].0.clone(),
+            }
+        } else {
+            sample_kind(&mut rng, &fixture.vault_shapes[object], None)
+        };
         MutationKind::VaultReplica {
             key: fixture.vault_objects[object].0.clone(),
             replica,
@@ -1223,10 +1243,13 @@ pub fn mutate_artifact(
             let mutated_results = sub.apply(fixture.results_text.as_bytes());
             fixture.forge.render(&mutated_results)
         }
-        MutationKind::VaultReplica { key, sub, .. } => {
-            let envelope = fixture.vault_envelope(key).expect("fixture vault key");
-            sub.apply(envelope)
-        }
+        MutationKind::VaultReplica { key, sub, .. } => match sub.as_ref() {
+            MutationKind::StaleGeneration { source } => fixture
+                .vault_envelope(source)
+                .expect("fixture vault key")
+                .to_vec(),
+            sub => sub.apply(fixture.vault_envelope(key).expect("fixture vault key")),
+        },
         MutationKind::ServeFrame { response, sub } => {
             let frame = if *response {
                 &fixture.serve_response

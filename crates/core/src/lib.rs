@@ -76,8 +76,6 @@ pub mod prelude {
     pub use crate::faultlab::{self, ArtifactClass, CampaignConfig, CampaignReport};
     pub use crate::levels::DphepLevel;
     pub use crate::migrate::Migrator;
-    #[allow(deprecated)]
-    pub use crate::runner::RunnerConfig;
     pub use crate::runner::ExecOptions;
     pub use crate::usecases::{Actor, UseCase};
     pub use crate::validate::{self, ValidationReport, Validator};
@@ -91,7 +89,7 @@ pub mod prelude {
         LoadgenConfig, LoadgenReport, ServeClient, ServeConfig, ServeError, Server, Service,
     };
     pub use daspos_vault::{
-        DirBackend, MemoryBackend, ObjectKind, PlacementPolicy, Redundancy, RetryPolicy,
+        DirBackend, MemoryBackend, ObjectKind, Redundancy, RetryPolicy,
         ScrubReport, StorageBackend, Vault, VaultError,
     };
 }

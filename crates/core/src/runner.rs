@@ -12,8 +12,7 @@
 //! are byte-identical to a sequential run.
 //!
 //! Execution is configured by [`ExecOptions`]: thread count plus the
-//! observability bundle (trace collector + metrics registry). The old
-//! [`RunnerConfig`] survives as a deprecated shim.
+//! observability bundle (trace collector + metrics registry).
 
 use std::sync::Arc;
 
@@ -103,50 +102,6 @@ impl ExecOptions {
     /// The configured worker count (always ≥ 1).
     pub fn thread_count(&self) -> usize {
         self.threads.max(1)
-    }
-}
-
-/// How a workflow's event loop is executed.
-#[deprecated(since = "0.1.0", note = "use `ExecOptions` (threads + observability)")]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RunnerConfig {
-    /// Worker threads for the production loop, payload encoding and
-    /// skimming. `1` means the fully sequential path (no threads
-    /// spawned) — the behaviour of the original engine.
-    pub threads: usize,
-}
-
-#[allow(deprecated)]
-impl RunnerConfig {
-    /// The sequential engine (one thread, no pool).
-    pub fn sequential() -> Self {
-        RunnerConfig { threads: 1 }
-    }
-
-    /// A pool of exactly `threads` workers (clamped to at least 1).
-    pub fn with_threads(threads: usize) -> Self {
-        RunnerConfig {
-            threads: threads.max(1),
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl Default for RunnerConfig {
-    /// One worker per available hardware thread.
-    fn default() -> Self {
-        RunnerConfig {
-            threads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<&RunnerConfig> for ExecOptions {
-    fn from(config: &RunnerConfig) -> ExecOptions {
-        ExecOptions::sequential().threads(config.threads)
     }
 }
 
@@ -359,15 +314,6 @@ mod tests {
             ExecOptions::new().tier_format(TierFormat::Columnar).tier_format,
             TierFormat::Columnar
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn runner_config_shim_converts() {
-        let opts = ExecOptions::from(&RunnerConfig::with_threads(6));
-        assert_eq!(opts.thread_count(), 6);
-        assert_eq!(RunnerConfig::sequential().threads, 1);
-        assert!(RunnerConfig::default().threads >= 1);
     }
 
     #[test]

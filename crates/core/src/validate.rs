@@ -211,33 +211,6 @@ impl<'c> Validator<'c> {
     }
 }
 
-/// Validate an archive on the given platform.
-#[deprecated(since = "0.1.0", note = "use `Validator::new(platform).run(archive)`")]
-pub fn validate(
-    archive: &PreservationArchive,
-    platform: &Platform,
-) -> Result<ValidationReport, ArchiveError> {
-    Validator::new(platform)
-        .run(archive)
-        .map_err(Error::into_archive_error)
-}
-
-/// [`validate`], sharing chain re-executions across calls through `cache`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Validator::new(platform).with_cache(cache).run(archive)`"
-)]
-pub fn validate_with_cache(
-    archive: &PreservationArchive,
-    platform: &Platform,
-    cache: &mut RerunCache,
-) -> Result<ValidationReport, ArchiveError> {
-    Validator::new(platform)
-        .with_cache(cache)
-        .run(archive)
-        .map_err(Error::into_archive_error)
-}
-
 /// The bit-exact validation engine (stage 1–4), with per-stage spans.
 fn validate_core(
     archive: &PreservationArchive,
@@ -442,48 +415,6 @@ pub fn parse_results_text(
     }
     flush(&mut current_key, &mut current_body, &mut out)?;
     Ok(out)
-}
-
-/// Validate with a numerical tolerance instead of bit equality.
-///
-/// Bit-exact reproduction (the default [`validate`]) is the right
-/// criterion on the platform the archive was made on. After a *real*
-/// platform migration, floating-point drift (different FMA contraction,
-/// libm versions) can legitimately perturb results; this mode re-runs the
-/// workflow and accepts the archive when every histogram bin agrees with
-/// the reference within `rel_tolerance` (relative, floored at 1e-9
-/// absolute).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Validator::new(platform).statistical(rel_tolerance).run(archive)`"
-)]
-pub fn validate_statistical(
-    archive: &PreservationArchive,
-    platform: &Platform,
-    rel_tolerance: f64,
-) -> Result<ValidationReport, ArchiveError> {
-    Validator::new(platform)
-        .statistical(rel_tolerance)
-        .run(archive)
-        .map_err(Error::into_archive_error)
-}
-
-/// [`validate_statistical`], sharing chain re-executions through `cache`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Validator::new(platform).statistical(rel_tolerance).with_cache(cache).run(archive)`"
-)]
-pub fn validate_statistical_with_cache(
-    archive: &PreservationArchive,
-    platform: &Platform,
-    rel_tolerance: f64,
-    cache: &mut RerunCache,
-) -> Result<ValidationReport, ArchiveError> {
-    Validator::new(platform)
-        .statistical(rel_tolerance)
-        .with_cache(cache)
-        .run(archive)
-        .map_err(Error::into_archive_error)
 }
 
 /// The statistical engine: bit-exact first, then a per-bin relative
@@ -832,22 +763,6 @@ mod tests {
         let b = PreservationArchive::from_bytes(&a.to_bytes()).unwrap();
         let report = Validator::new(&Platform::current()).run(&b).unwrap();
         assert!(report.passed(), "{}", report.detail);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_agree_with_the_builder() {
-        let a = archive_for(41);
-        let current = Platform::current();
-        let from_builder = Validator::new(&current).run(&a).unwrap();
-        let from_wrapper = validate(&a, &current).unwrap();
-        assert_eq!(from_builder, from_wrapper);
-
-        let mut forged = a.clone();
-        forged.insert(sections::RESULTS, Bytes::from("== forged ==\n"));
-        let b = Validator::new(&current).statistical(0.1).run(&forged).unwrap();
-        let w = validate_statistical(&forged, &current, 0.1).unwrap();
-        assert_eq!(b, w);
     }
 
     #[test]

@@ -530,19 +530,6 @@ impl PreservedWorkflow {
         })
     }
 
-    /// Execute with the old `RunnerConfig`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `execute(ctx, &ExecOptions::new().threads(n))`"
-    )]
-    #[allow(deprecated)]
-    pub fn execute_with(
-        &self,
-        ctx: &ExecutionContext,
-        runner: &crate::runner::RunnerConfig,
-    ) -> Result<ProductionOutput, Error> {
-        self.execute(ctx, &ExecOptions::from(runner))
-    }
 }
 
 /// The span paths a complete chain trace must contain — the tier-1

@@ -2,9 +2,7 @@
 //!
 //! Sessions are configured through [`ServeClient::builder`]: tenant,
 //! per-op timeout, an Overloaded retry policy, and the chunk size used
-//! by streamed transfers. The old `connect`/`connect_with_timeout`
-//! constructors survive as deprecated shims with byte-identical
-//! behavior (one attempt, default chunk size).
+//! by streamed transfers.
 //!
 //! Objects larger than one frame travel through [`ServeClient::put_stream`]
 //! / [`ServeClient::get_stream`]: the client holds one chunk at a time
@@ -124,22 +122,6 @@ impl ServeClient {
             retry: RetryPolicy::default(),
             chunk_bytes: DEFAULT_CLIENT_CHUNK,
         }
-    }
-
-    /// Connect to `addr` as `tenant` with the default op timeout.
-    #[deprecated(note = "use ServeClient::builder(tenant).connect(addr)")]
-    pub fn connect(addr: &str, tenant: &str) -> Result<ServeClient, ServeError> {
-        ServeClient::builder(tenant).connect(addr)
-    }
-
-    /// Connect with an explicit op timeout.
-    #[deprecated(note = "use ServeClient::builder(tenant).op_timeout(..).connect(addr)")]
-    pub fn connect_with_timeout(
-        addr: &str,
-        tenant: &str,
-        timeout: Duration,
-    ) -> Result<ServeClient, ServeError> {
-        ServeClient::builder(tenant).op_timeout(timeout).connect(addr)
     }
 
     /// The tenant this connection operates as.

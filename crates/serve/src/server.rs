@@ -1359,7 +1359,10 @@ impl Service {
     /// classifications, not just at tick start: a foreground op arriving
     /// mid-object makes the scrubber abandon the object (counted as a
     /// yield) instead of stalling that op behind a full
-    /// `replicas × deep-verify` pass — the `serve_mixed` p99 tail.
+    /// `replicas × deep-verify` pass — the `serve_mixed` p99 tail. An op
+    /// that came and went between two checks abandons the object too:
+    /// scrub rewrites outvoted slots, and must not vote on a stripe read
+    /// half before and half after a PUT.
     pub fn scrub_step(&self) -> Result<bool, VaultError> {
         if self.inflight() > 0 {
             self.stats.scrub_yields.fetch_add(1, Ordering::Relaxed);
@@ -1376,9 +1379,10 @@ impl Service {
             *cursor = (*cursor + 1) % keys.len();
             key
         };
+        let ops = self.stats.ops();
         match self
             .vault
-            .scrub_object_while(&key, &|| self.inflight() == 0)?
+            .scrub_object_while(&key, &|| self.inflight() == 0 && self.stats.ops() == ops)?
         {
             None => {
                 self.stats.scrub_yields.fetch_add(1, Ordering::Relaxed);

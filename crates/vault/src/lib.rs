@@ -11,18 +11,20 @@
 //! - [`StorageBackend`] — the narrowest pluggable blob-store API
 //!   ([`MemoryBackend`], [`DirBackend`], and the fault-injecting
 //!   [`FlakyBackend`] to start);
-//! - [`Vault`] — a redundant store of `DPVO`-enveloped objects over a
-//!   backend pool, in one of two [`Redundancy`] modes: full
-//!   [`Replicas`](Redundancy::Replicas) on every backend, or
+//! - [`Vault`] — a redundant store of `DPVO`-enveloped objects striped
+//!   over a backend pool, one slot per backend, in one of two
+//!   [`Redundancy`] modes: full [`Replicas`](Redundancy::Replicas) (a
+//!   `k = 1` stripe of plain copies), or
 //!   [`Erasure`](Redundancy::Erasure)-coded `k + m` striping (XOR for
 //!   `m = 1`, in-repo GF(256) Reed–Solomon beyond) where each backend
 //!   holds one digested `DPVS` shard and any `k` survivors reconstruct
 //!   the object byte-identically;
-//! - [`Vault::scrub`] — the recurring integrity pass: walk every copy
-//!   or shard, verify envelope digests plus kind-specific deep checks
-//!   (DPSL seals, container manifests, conditions snapshots), and
-//!   rewrite damage byte-identically — copied from a verified replica,
-//!   or rebuilt from surviving shards;
+//! - [`Vault::scrub`] — the recurring integrity pass, the same
+//!   classify → vote → reconstruct → repair pipeline every read runs:
+//!   vote on the write generation most slots hold, verify it end to end
+//!   (envelope digest plus kind-specific deep checks: DPSL seals,
+//!   container manifests, conditions snapshots), and rewrite every
+//!   other slot from it byte-identically;
 //! - [`RetryPolicy`] — per-operation retry/backoff/timeout for flaky
 //!   media, deterministic enough to fault-campaign.
 //!
@@ -65,6 +67,4 @@ pub use shard::{
     decode_shard, encode_shard, shard_digest, ShardError, ShardHeader, SHARD_MAGIC,
     SHARD_OVERHEAD, SHARD_VERSION,
 };
-pub use vault::{
-    PlacementPolicy, Redundancy, ScrubReport, Vault, VaultBuilder, VaultError,
-};
+pub use vault::{Redundancy, ScrubReport, Vault, VaultBuilder, VaultError};

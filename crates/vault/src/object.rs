@@ -178,6 +178,13 @@ pub fn encode_envelope(kind: ObjectKind, payload: &Bytes) -> Bytes {
     Bytes::from(out)
 }
 
+/// The digest field of an envelope's header, unchecked. Once
+/// [`decode_envelope`] has accepted `envelope`, this identifies its
+/// content without hashing it again.
+pub(crate) fn stored_digest(envelope: &[u8]) -> u64 {
+    u64::from_le_bytes(envelope[7..15].try_into().expect("8-byte slice"))
+}
+
 /// Unwrap a `DPVO` envelope, verifying version, kind, length, and
 /// digest. The returned payload is a zero-copy slice of `data`.
 pub fn decode_envelope(data: &Bytes) -> Result<(ObjectKind, Bytes), EnvelopeError> {
@@ -189,7 +196,7 @@ pub fn decode_envelope(data: &Bytes) -> Result<(ObjectKind, Bytes), EnvelopeErro
         return Err(EnvelopeError::Version(version));
     }
     let kind = ObjectKind::from_u8(data[6]).ok_or(EnvelopeError::Kind(data[6]))?;
-    let stored = u64::from_le_bytes(data[7..15].try_into().expect("8-byte slice"));
+    let stored = stored_digest(data);
     let declared = u32::from_le_bytes(data[15..19].try_into().expect("4-byte slice")) as usize;
     let actual = data.len() - ENVELOPE_OVERHEAD;
     if declared != actual {

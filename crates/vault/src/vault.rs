@@ -1,27 +1,47 @@
-//! The preservation vault: replicated or erasure-coded storage with
-//! scrubbing, repair, and checksum-verified reads.
+//! The preservation vault: one classify → vote → reconstruct → repair
+//! pipeline over replicated or erasure-coded storage.
 //!
-//! A [`Vault`] spreads every object across a pool of
-//! [`StorageBackend`]s under a [`Redundancy`] mode chosen at build time:
+//! A [`Vault`] stores every object as a *stripe* of slots, one slot per
+//! backend. Slot `i` of `key` lives on backend `(fnv64(key) + i) mod B`,
+//! so stripes start on different backends per key and no backend ever
+//! holds two slots of one stripe. The [`Redundancy`] mode chosen at build
+//! time decides only how an object maps onto slots (the slot codec):
 //!
-//! - [`Redundancy::Replicas`] — every backend stores a full
-//!   checksum-carrying `DPVO` envelope. Reads walk the backends in
-//!   order and return the first copy that passes the envelope digest
-//!   and the deep [`Verifier`] for its kind, transparently falling back
-//!   past damaged copies (and optionally healing them in passing).
 //! - [`Redundancy::Erasure`] — the `DPVO` envelope is split into `k`
 //!   data + `m` parity shards (XOR for `m = 1`, GF(256) Reed–Solomon
-//!   beyond), each wrapped in a digested `DPVS` shard envelope and
-//!   placed on a distinct backend by the [`PlacementPolicy`]. Reads
-//!   reconstruct from any `k` healthy shards; losing more than `m`
-//!   shards is reported loudly as [`VaultError::Unrecoverable`] — the
-//!   vault never fabricates bytes.
+//!   beyond), each slot holding one digested `DPVS` shard envelope.
+//! - [`Redundancy::Replicas`] — a `k = 1` stripe of `n` slots (`m = n − 1`,
+//!   possibly 0), each slot a plain `DPVO` copy with no `DPVS` wrapper.
 //!
-//! The [`scrub`](Vault::scrub) pass makes read-time resilience a
-//! recurring, deterministic sweep: it walks the union of keys across
-//! all backends, classifies every copy or shard as healthy, corrupt,
-//! or missing, and rewrites damage byte-identically — from a verified
-//! copy in replica mode, by erasure reconstruction in sharded mode.
+//! Every read and every integrity pass — [`get`](Vault::get),
+//! [`scrub`](Vault::scrub)/[`verify`](Vault::verify),
+//! [`scrub_object`](Vault::scrub_object)/[`verify_object`](Vault::verify_object)
+//! and the interruptible [`scrub_object_while`](Vault::scrub_object_while)
+//! — runs the same per-object pipeline:
+//!
+//! 1. **classify** each slot as missing, corrupt (unreadable, a copy
+//!    failing its envelope digest, or a shard failing its digest or
+//!    geometry check), or healthy in a write *generation* `(object_len,
+//!    object_digest)`;
+//! 2. **vote**: the generation backed by the most healthy slots wins,
+//!    deterministically tie-broken;
+//! 3. **reconstruct** the winner and verify it once end to end (object
+//!    digest, envelope, deep [`Verifier`] for its kind). A winner that
+//!    fails is disqualified and the next generation gets its turn; a
+//!    winner with fewer than `k` slots is reported loudly as
+//!    [`VaultError::Unrecoverable`] — the vault never fabricates bytes;
+//! 4. **repair** the slots that disagree with the verified generation,
+//!    encoding the object into slots only when some slot needs
+//!    rewriting. `get` heals only slots it found damaged — corrupt ones,
+//!    and those of a generation that failed verification — because a
+//!    digest-valid copy it outvoted may be a concurrent `put` it half
+//!    saw. Scrub rewrites every other slot, outvoted and missing ones
+//!    included, so it must not race writes to the same key (the serve
+//!    layer's scrubber gives way to any foreground request).
+//!
+//! Replicas that diverge — a `put` that reached only some backends, a
+//! stale copy written back — are therefore outvoted by `get` and
+//! re-converged by scrub exactly like stale shards.
 //!
 //! Every backend operation runs under the vault's
 //! [`RetryPolicy`](crate::RetryPolicy); transient failures are retried
@@ -42,8 +62,8 @@ use daspos_tiers::codec::fnv64;
 use crate::backend::{StorageBackend, StorageError};
 use crate::erasure::Erasure;
 use crate::object::{
-    decode_envelope, encode_envelope, ColumnarVerifier, ConditionsVerifier, ObjectKind,
-    SealedTierVerifier, Verifier,
+    decode_envelope, encode_envelope, stored_digest, ColumnarVerifier, ConditionsVerifier,
+    ObjectKind, SealedTierVerifier, Verifier,
 };
 use crate::policy::RetryPolicy;
 use crate::shard::{decode_shard, encode_shard, ShardHeader};
@@ -58,21 +78,23 @@ pub enum VaultError {
     Geometry(String),
     /// No backend stores the key.
     NotFound(String),
-    /// Copies of the object exist, but none passes integrity checks.
+    /// Slots of the object exist, but none is healthy, or every
+    /// generation with at least `k` slots fails end-to-end verification.
     Damaged {
         /// The object's key.
         key: String,
-        /// What was wrong with the last copy examined.
+        /// Why the last candidate was rejected.
         reason: String,
     },
-    /// Fewer than `k` healthy shards survive: the object cannot be
-    /// reconstructed, and the vault refuses to guess at the bytes.
+    /// The best surviving generation has fewer than `k` healthy slots:
+    /// the object cannot be reconstructed, and the vault refuses to
+    /// guess at the bytes.
     Unrecoverable {
         /// The object's key.
         key: String,
-        /// Healthy shards of the best surviving generation.
+        /// Healthy slots of the best surviving generation.
         have: usize,
-        /// Shards a reconstruction needs (= the geometry's `k`).
+        /// Slots a reconstruction needs (= the geometry's `k`).
         need: usize,
     },
     /// A storage operation failed permanently (after retries).
@@ -118,8 +140,9 @@ impl From<StorageError> for VaultError {
 /// How a vault spreads an object across its backend pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Redundancy {
-    /// Every backend stores a full copy; `n` must equal the backend
-    /// count. Tolerates `n - 1` backend losses at `n`× the bytes.
+    /// A `k = 1` stripe: every backend stores a full `DPVO` copy; `n`
+    /// must equal the backend count. Tolerates `n - 1` backend losses
+    /// at `n`× the bytes.
     Replicas(usize),
     /// `k` data + `m` parity shards, one per backend. Tolerates `m`
     /// backend losses at `(k + m) / k`× the bytes.
@@ -158,32 +181,12 @@ impl fmt::Display for Redundancy {
     }
 }
 
-/// How erasure shards map to backends. Irrelevant under
-/// [`Redundancy::Replicas`] (every backend holds a full copy).
-///
-/// Both policies guarantee the placement invariant: with at least
-/// `k + m` backends, no backend ever holds two shards of one stripe,
-/// so losing one backend costs a stripe at most one shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlacementPolicy {
-    /// Shard `i` of `key` lands on backend
-    /// `(fnv64(key) + i) mod B` — stripes start on different backends
-    /// per key, spreading parity (and rebuild load) across the pool.
-    #[default]
-    KeyRotation,
-    /// Shard `i` always lands on backend `i` — data shards cluster on
-    /// the first `k` backends. Useful for tests and debugging.
-    Identity,
-}
-
 /// Builder for a [`Vault`].
 pub struct VaultBuilder {
     backends: Vec<Arc<dyn StorageBackend>>,
     redundancy: Option<Redundancy>,
-    placement: PlacementPolicy,
     policy: RetryPolicy,
     verifiers: BTreeMap<ObjectKind, Arc<dyn Verifier>>,
-    heal_on_get: bool,
     obs: Obs,
 }
 
@@ -196,10 +199,8 @@ impl VaultBuilder {
         VaultBuilder {
             backends: Vec::new(),
             redundancy: None,
-            placement: PlacementPolicy::default(),
             policy: RetryPolicy::default(),
             verifiers,
-            heal_on_get: true,
             obs: Obs::disabled(),
         }
     }
@@ -217,23 +218,6 @@ impl VaultBuilder {
         self
     }
 
-    /// Choose the shard placement policy (erasure mode only; default
-    /// [`PlacementPolicy::KeyRotation`]).
-    pub fn placement(mut self, placement: PlacementPolicy) -> VaultBuilder {
-        self.placement = placement;
-        self
-    }
-
-    /// Add one replica backend.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `backends(vec![...])` + `redundancy(Redundancy::Replicas(n))`"
-    )]
-    pub fn replica(mut self, backend: Arc<dyn StorageBackend>) -> VaultBuilder {
-        self.backends.push(backend);
-        self
-    }
-
     /// Override the per-operation retry policy.
     pub fn policy(mut self, policy: RetryPolicy) -> VaultBuilder {
         self.policy = policy;
@@ -244,13 +228,6 @@ impl VaultBuilder {
     /// `SealedTier` and `ConditionsText` verifiers are pre-registered.
     pub fn verifier(mut self, verifier: Arc<dyn Verifier>) -> VaultBuilder {
         self.verifiers.insert(verifier.kind(), verifier);
-        self
-    }
-
-    /// Whether `get` rewrites damaged copies it had to fall back past
-    /// (default true).
-    pub fn heal_on_get(mut self, heal: bool) -> VaultBuilder {
-        self.heal_on_get = heal;
         self
     }
 
@@ -267,10 +244,10 @@ impl VaultBuilder {
         if self.backends.is_empty() {
             return Err(VaultError::NoReplicas);
         }
-        let redundancy = self
+        let codec = match self
             .redundancy
-            .unwrap_or(Redundancy::Replicas(self.backends.len()));
-        let erasure = match redundancy {
+            .unwrap_or(Redundancy::Replicas(self.backends.len()))
+        {
             Redundancy::Replicas(n) => {
                 if n == 0 || n != self.backends.len() {
                     return Err(VaultError::Geometry(format!(
@@ -278,7 +255,7 @@ impl VaultBuilder {
                         self.backends.len()
                     )));
                 }
-                None
+                SlotCodec::Copies(n)
             }
             Redundancy::Erasure { k, m } => {
                 let ec = Erasure::new(k, m).map_err(|e| VaultError::Geometry(e.to_string()))?;
@@ -289,54 +266,205 @@ impl VaultBuilder {
                         self.backends.len()
                     )));
                 }
-                Some(ec)
+                SlotCodec::Shards(ec)
             }
         };
         Ok(Vault {
             backends: self.backends,
-            redundancy,
-            placement: self.placement,
-            erasure,
+            codec,
             policy: self.policy,
             verifiers: self.verifiers,
-            heal_on_get: self.heal_on_get,
             obs: self.obs,
         })
     }
 }
 
-/// How one backend's copy of an object fared during a replica scan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum CopyState {
-    Healthy(Bytes),
+/// A write generation: the length and digest of the `DPVO` envelope a
+/// slot was encoded from — `fnv64` of the envelope for a shard, the
+/// envelope's own stored digest for a copy.
+type Generation = (u32, u64);
+
+/// How one stripe slot fared when it was read.
+enum Slot {
+    /// The slot was read (and, for a shard, decoded) and belongs to
+    /// `gen`; `payload` is its shard, or the whole copy for replicas.
+    Healthy {
+        gen: Generation,
+        payload: Bytes,
+    },
     Corrupt(String),
     Missing,
 }
 
-/// How one stripe slot fared during an erasure scan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum ShardState {
-    Healthy { header: ShardHeader, payload: Bytes },
-    Corrupt(String),
-    Missing,
+/// The slot codec — the only place the redundancy mode matters.
+enum SlotCodec {
+    /// [`Redundancy::Replicas`]: `n` slots, each a plain `DPVO` copy.
+    Copies(usize),
+    /// [`Redundancy::Erasure`]: `k + m` slots, each one `DPVS` shard.
+    Shards(Erasure),
 }
 
-/// Pick the stripe's winning generation: the `(object_len,
-/// object_digest)` pair backed by the most healthy shards,
-/// deterministically tie-broken. Returns `(len, digest, count)`.
-fn stripe_winner(states: &[ShardState]) -> Option<(u32, u64, usize)> {
-    let mut counts: BTreeMap<(u32, u64), usize> = BTreeMap::new();
-    for s in states {
-        if let ShardState::Healthy { header, .. } = s {
-            *counts
-                .entry((header.object_len, header.object_digest))
-                .or_default() += 1;
+impl SlotCodec {
+    /// Slots any reconstruction needs.
+    fn k(&self) -> usize {
+        match self {
+            SlotCodec::Copies(_) => 1,
+            SlotCodec::Shards(ec) => ec.k(),
         }
     }
-    counts
-        .into_iter()
-        .max_by_key(|&((len, digest), n)| (n, len, digest))
-        .map(|((len, digest), n)| (len, digest, n))
+
+    /// Slots per stripe.
+    fn slots(&self) -> usize {
+        match self {
+            SlotCodec::Copies(n) => *n,
+            SlotCodec::Shards(ec) => ec.total(),
+        }
+    }
+
+    /// Whether a repaired slot is rebuilt as a shard (counted in
+    /// [`ScrubReport::rebuilt`]) rather than copied whole.
+    fn rebuilds(&self) -> bool {
+        matches!(self, SlotCodec::Shards(_))
+    }
+
+    /// Encode one `DPVO` envelope into its slots. Deterministic:
+    /// re-encoding the same envelope yields byte-identical slots, which
+    /// is what makes repair byte-identical too.
+    fn encode(&self, envelope: &Bytes) -> Vec<Bytes> {
+        match self {
+            SlotCodec::Copies(n) => vec![envelope.clone(); *n],
+            SlotCodec::Shards(ec) => {
+                let object_digest = fnv64(envelope);
+                ec.encode(envelope)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, payload)| {
+                        encode_shard(
+                            &ShardHeader {
+                                index: i as u8,
+                                k: ec.k() as u8,
+                                m: ec.m() as u8,
+                                object_len: envelope.len() as u32,
+                                object_digest,
+                            },
+                            &payload,
+                        )
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    /// Classify the bytes read from slot `index`, given the slots read
+    /// before it. A copy must pass its envelope digest, which is then its
+    /// generation; a copy identical to an earlier healthy one joins that
+    /// one's generation unhashed. A shard must pass its digest, and its
+    /// geometry is cross-checked
+    /// against the vault's and its index against the slot it was read
+    /// from — which is what catches geometry tampering even when the
+    /// shard digest was recomputed.
+    fn decode(&self, index: usize, raw: Bytes, earlier: &[Slot]) -> Slot {
+        match self {
+            SlotCodec::Copies(_) => {
+                let same = earlier.iter().find_map(|s| match s {
+                    Slot::Healthy { gen, payload } if *payload == raw => Some(*gen),
+                    _ => None,
+                });
+                let gen = match same {
+                    Some(gen) => gen,
+                    None => match decode_envelope(&raw) {
+                        Ok(_) => (raw.len() as u32, stored_digest(&raw)),
+                        Err(e) => return Slot::Corrupt(e.to_string()),
+                    },
+                };
+                Slot::Healthy { gen, payload: raw }
+            }
+            SlotCodec::Shards(ec) => {
+                let (header, payload) = match decode_shard(&raw) {
+                    Ok(parts) => parts,
+                    Err(e) => return Slot::Corrupt(e.to_string()),
+                };
+                if header.k as usize != ec.k()
+                    || header.m as usize != ec.m()
+                    || header.index as usize != index
+                {
+                    return Slot::Corrupt(format!(
+                        "shard geometry mismatch: header claims shard {} of {}+{}, slot expects {} of {}+{}",
+                        header.index,
+                        header.k,
+                        header.m,
+                        index,
+                        ec.k(),
+                        ec.m()
+                    ));
+                }
+                Slot::Healthy {
+                    gen: (header.object_len, header.object_digest),
+                    payload,
+                }
+            }
+        }
+    }
+
+    /// Reassemble generation `gen`'s envelope from its healthy slots;
+    /// a decoded stripe must match the generation's object digest. The
+    /// pipeline verifies the envelope itself.
+    fn reconstruct(&self, slots: &[Slot], gen: Generation) -> Result<Bytes, String> {
+        let members = slots.iter().map(|s| match s {
+            Slot::Healthy { gen: g, payload } if *g == gen => Some(payload),
+            _ => None,
+        });
+        match self {
+            SlotCodec::Copies(_) => Ok(members
+                .flatten()
+                .next()
+                .expect("the vote counted a copy of this generation")
+                .clone()),
+            SlotCodec::Shards(ec) => {
+                let shards: Vec<Option<&[u8]>> = members.map(|p| p.map(Bytes::as_ref)).collect();
+                let envelope = ec
+                    .decode(&shards, gen.0 as usize)
+                    .map_err(|e| e.to_string())?;
+                if fnv64(&envelope) != gen.1 {
+                    return Err("reconstructed object digest mismatch".to_string());
+                }
+                Ok(Bytes::from(envelope))
+            }
+        }
+    }
+}
+
+/// Pick the winning generation among those not yet `disqualified`: the
+/// one backed by the most healthy slots, deterministically tie-broken.
+/// Returns `(generation, votes)`.
+fn stripe_winner(slots: &[Slot], disqualified: &[Generation]) -> Option<(Generation, usize)> {
+    let mut counts: BTreeMap<Generation, usize> = BTreeMap::new();
+    for s in slots {
+        if let Slot::Healthy { gen, .. } = s {
+            if !disqualified.contains(gen) {
+                *counts.entry(*gen).or_default() += 1;
+            }
+        }
+    }
+    counts.into_iter().max_by_key(|&(gen, n)| (n, gen))
+}
+
+/// What the vote decided for one object.
+enum Verdict {
+    /// No slot holds the key.
+    Absent,
+    /// `gen` reconstructed to `envelope`, which passed end-to-end
+    /// verification after the generations in `disqualified` failed it.
+    Verified {
+        gen: Generation,
+        envelope: Bytes,
+        disqualified: Vec<Generation>,
+    },
+    /// The best generation holds only `have < k` healthy slots.
+    Short { gen: Generation, have: usize },
+    /// No slot is healthy, or every generation with at least `k` slots
+    /// failed end-to-end verification.
+    Damaged(String),
 }
 
 /// The outcome of a [`scrub`](Vault::scrub) or [`verify`](Vault::verify)
@@ -347,34 +475,34 @@ pub struct ScrubReport {
     pub objects: usize,
     /// Backend count of the vault.
     pub replicas: usize,
-    /// Copies or shards examined (present ones, healthy or not).
+    /// Slots examined (present ones, healthy or not).
     pub checked: u64,
-    /// Copies or shards failing digests, deep verification, geometry
-    /// checks, or stranded in an outvoted write generation.
+    /// Slots failing digests, geometry checks or end-to-end
+    /// verification, or stranded in an outvoted write generation.
     pub corrupt: u64,
-    /// Copies or shards absent from their backend while the key exists
-    /// elsewhere.
+    /// Slots absent from their backend while the key exists elsewhere.
     pub missing: u64,
-    /// Damaged or missing copies/shards rewritten from verified data.
+    /// Damaged or missing slots rewritten from verified data.
     pub repaired: u64,
-    /// Repairs that required erasure reconstruction from surviving
-    /// shards (always ≤ `repaired`; zero in replica mode).
+    /// Repairs rebuilt as erasure shards (always ≤ `repaired`; zero for
+    /// replicas, whose repairs are whole copies).
     pub rebuilt: u64,
-    /// Objects with too few healthy shards to reconstruct. These also
-    /// appear in [`lost`](ScrubReport::lost) and make
-    /// [`clean`](ScrubReport::clean) false.
+    /// Objects beyond repair — the keys in [`lost`](ScrubReport::lost):
+    /// no healthy slot, every generation with at least `k` slots failing
+    /// end-to-end verification, or a best generation with fewer than `k`
+    /// healthy slots. Any of them makes [`clean`](ScrubReport::clean)
+    /// false.
     pub unrecoverable: u64,
-    /// Keys beyond repair: zero healthy copies, or fewer than `k`
-    /// healthy shards.
+    /// Keys beyond repair, one per [`unrecoverable`](ScrubReport::unrecoverable)
+    /// object.
     pub lost: Vec<String>,
-    /// Per-stripe repair detail, one line per rebuilt shard or
-    /// unrecoverable object (erasure mode).
+    /// Per-stripe detail, one line per rebuilt shard or lost object.
     pub details: Vec<String>,
 }
 
 impl ScrubReport {
     /// True when no unrepaired damage remains: every corrupt or missing
-    /// copy was repaired and nothing is lost or unrecoverable.
+    /// slot was repaired and nothing is lost or unrecoverable.
     pub fn clean(&self) -> bool {
         self.lost.is_empty()
             && self.unrecoverable == 0
@@ -433,13 +561,9 @@ impl ScrubReport {
 /// repair. Construct via [`Vault::builder`].
 pub struct Vault {
     backends: Vec<Arc<dyn StorageBackend>>,
-    redundancy: Redundancy,
-    placement: PlacementPolicy,
-    /// Precomputed geometry, `Some` iff `redundancy` is `Erasure`.
-    erasure: Option<Erasure>,
+    codec: SlotCodec,
     policy: RetryPolicy,
     verifiers: BTreeMap<ObjectKind, Arc<dyn Verifier>>,
-    heal_on_get: bool,
     obs: Obs,
 }
 
@@ -456,23 +580,22 @@ impl Vault {
 
     /// The redundancy mode this vault was built with.
     pub fn redundancy(&self) -> Redundancy {
-        self.redundancy
-    }
-
-    /// The shard placement policy.
-    pub fn placement(&self) -> PlacementPolicy {
-        self.placement
-    }
-
-    /// The backend storing shard `i` of `key`'s stripe (erasure mode).
-    fn slot_backend(&self, key: &str, shard: usize) -> usize {
-        let n = self.backends.len();
-        match self.placement {
-            PlacementPolicy::Identity => shard % n,
-            PlacementPolicy::KeyRotation => {
-                ((fnv64(key.as_bytes()) % n as u64) as usize + shard) % n
-            }
+        match &self.codec {
+            SlotCodec::Copies(n) => Redundancy::Replicas(*n),
+            SlotCodec::Shards(ec) => Redundancy::Erasure {
+                k: ec.k(),
+                m: ec.m(),
+            },
         }
+    }
+
+    /// The backend storing slot `i` of `key`'s stripe. Stripes start on
+    /// backend `fnv64(key) mod B`, spreading parity (and rebuild load)
+    /// across the pool; with at least `k + m` backends no backend holds
+    /// two slots of one stripe.
+    fn slot_backend(&self, key: &str, slot: usize) -> usize {
+        let n = self.backends.len();
+        ((fnv64(key.as_bytes()) % n as u64) as usize + slot) % n
     }
 
     /// Run one backend operation under the retry policy. Transient
@@ -504,33 +627,20 @@ impl Vault {
         }
     }
 
-    /// Store `payload` as `kind` under `key`: a full envelope on every
-    /// backend in replica mode, one `DPVS` shard per placed backend in
-    /// erasure mode.
+    /// Store `payload` as `kind` under `key`, one slot per placed
+    /// backend.
     ///
     /// Backends that fail permanently are skipped (and the first such
     /// error returned) *after* all remaining backends were attempted, so
     /// one bad backend never blocks the others from receiving the object
     /// — the next scrub re-converges the stragglers.
     pub fn put(&self, key: &str, kind: ObjectKind, payload: &Bytes) -> Result<(), VaultError> {
-        let envelope = encode_envelope(kind, payload);
+        let slots = self.codec.encode(&encode_envelope(kind, payload));
         let mut first_err = None;
-        match self.erasure {
-            None => {
-                for backend in &self.backends {
-                    if let Err(e) = self.with_retry(|| backend.put(key, &envelope)) {
-                        first_err.get_or_insert(e);
-                    }
-                }
-            }
-            Some(_) => {
-                let shards = self.shard_envelopes(&envelope);
-                for (i, shard) in shards.iter().enumerate() {
-                    let backend = &self.backends[self.slot_backend(key, i)];
-                    if let Err(e) = self.with_retry(|| backend.put(key, shard)) {
-                        first_err.get_or_insert(e);
-                    }
-                }
+        for (i, slot) in slots.iter().enumerate() {
+            let backend = &self.backends[self.slot_backend(key, i)];
+            if let Err(e) = self.with_retry(|| backend.put(key, slot)) {
+                first_err.get_or_insert(e);
             }
         }
         match first_err {
@@ -547,12 +657,11 @@ impl Vault {
         Ok(kind)
     }
 
-    /// Remove `key` from every backend (full copies or stripe shards
-    /// alike). Idempotent: deleting an absent key succeeds, and a
-    /// backend that fails is skipped so the others still reclaim —
-    /// mirroring [`put`](Vault::put)'s one-bad-backend tolerance. The
-    /// serve layer leans on this to sweep superseded stream-chunk
-    /// generations.
+    /// Remove `key` from every backend. Idempotent: deleting an absent
+    /// key succeeds, and a backend that fails is skipped so the others
+    /// still reclaim — mirroring [`put`](Vault::put)'s one-bad-backend
+    /// tolerance. The serve layer leans on this to sweep superseded
+    /// stream-chunk generations.
     pub fn delete(&self, key: &str) -> Result<(), VaultError> {
         let mut first_err = None;
         for backend in &self.backends {
@@ -572,113 +681,69 @@ impl Vault {
         }
     }
 
-    /// Erasure-encode one `DPVO` envelope into its `k + m` `DPVS` shard
-    /// envelopes. Deterministic: re-encoding the same envelope yields
-    /// byte-identical shards, which is what makes shard-level repair
-    /// byte-identical too.
-    fn shard_envelopes(&self, envelope: &Bytes) -> Vec<Bytes> {
-        let ec = self.erasure.as_ref().expect("erasure mode");
-        let object_digest = fnv64(envelope);
-        ec.encode(envelope)
-            .into_iter()
-            .enumerate()
-            .map(|(i, payload)| {
-                encode_shard(
-                    &ShardHeader {
-                        index: i as u8,
-                        k: ec.k() as u8,
-                        m: ec.m() as u8,
-                        object_len: envelope.len() as u32,
-                        object_digest,
-                    },
-                    &payload,
-                )
-            })
-            .collect()
+    /// Classify: read and decode every slot of `key`'s stripe,
+    /// consulting `keep_going` before each read. `None` once it
+    /// declines.
+    fn read_slots(&self, key: &str, keep_going: &dyn Fn() -> bool) -> Option<Vec<Slot>> {
+        let mut slots = Vec::with_capacity(self.codec.slots());
+        for i in 0..self.codec.slots() {
+            if !keep_going() {
+                return None;
+            }
+            let backend = &self.backends[self.slot_backend(key, i)];
+            let slot = match self.with_retry(|| backend.get(key)) {
+                Ok(raw) => self.codec.decode(i, raw, &slots),
+                Err(StorageError::NotFound(_)) => Slot::Missing,
+                Err(e) => Slot::Corrupt(format!("unreadable: {e}")),
+            };
+            slots.push(slot);
+        }
+        Some(slots)
     }
 
-    /// Classify one backend's copy of `key`: decode the envelope, then
-    /// deep-verify if a verifier is registered for the kind.
-    fn classify(&self, replica: &Arc<dyn StorageBackend>, key: &str) -> CopyState {
-        let raw = match self.with_retry(|| replica.get(key)) {
-            Ok(raw) => raw,
-            Err(StorageError::NotFound(_)) => return CopyState::Missing,
-            Err(e) => return CopyState::Corrupt(format!("unreadable: {e}")),
-        };
-        let (kind, payload) = match decode_envelope(&raw) {
-            Ok(parts) => parts,
-            Err(e) => return CopyState::Corrupt(e.to_string()),
-        };
-        if let Some(verifier) = self.verifiers.get(&kind) {
-            if let Err(reason) = verifier.verify(&payload) {
-                return CopyState::Corrupt(reason);
+    /// Vote and verify: walk the generations in vote order until one
+    /// with at least `k` slots reconstructs and passes end-to-end
+    /// verification.
+    fn elect(&self, slots: &[Slot]) -> Verdict {
+        let mut disqualified = Vec::new();
+        let mut failure = None;
+        while let Some((gen, have)) = stripe_winner(slots, &disqualified) {
+            if have < self.codec.k() {
+                return match failure {
+                    None => Verdict::Short { gen, have },
+                    Some(reason) => Verdict::Damaged(reason),
+                };
+            }
+            match self.verified(slots, gen) {
+                Ok(envelope) => {
+                    return Verdict::Verified {
+                        gen,
+                        envelope,
+                        disqualified,
+                    }
+                }
+                Err(reason) => {
+                    failure = Some(reason);
+                    disqualified.push(gen);
+                }
             }
         }
-        CopyState::Healthy(raw)
-    }
-
-    /// Classify stripe slot `i` of `key`: decode the `DPVS` envelope
-    /// and cross-check its geometry against the vault's and its index
-    /// against the slot it was read from — which is what catches
-    /// geometry tampering even when the shard digest was recomputed.
-    fn classify_shard(&self, key: &str, i: usize) -> ShardState {
-        let backend = &self.backends[self.slot_backend(key, i)];
-        let raw = match self.with_retry(|| backend.get(key)) {
-            Ok(raw) => raw,
-            Err(StorageError::NotFound(_)) => return ShardState::Missing,
-            Err(e) => return ShardState::Corrupt(format!("unreadable: {e}")),
-        };
-        let (header, payload) = match decode_shard(&raw) {
-            Ok(parts) => parts,
-            Err(e) => return ShardState::Corrupt(e.to_string()),
-        };
-        let ec = self.erasure.as_ref().expect("erasure mode");
-        if header.k as usize != ec.k() || header.m as usize != ec.m() || header.index as usize != i
-        {
-            return ShardState::Corrupt(format!(
-                "shard geometry mismatch: header claims shard {} of {}+{}, slot expects {} of {}+{}",
-                header.index,
-                header.k,
-                header.m,
-                i,
-                ec.k(),
-                ec.m()
-            ));
-        }
-        ShardState::Healthy { header, payload }
-    }
-
-    /// Reconstruct the winning generation's `DPVO` envelope from its
-    /// healthy shards, then verify it end to end (object digest,
-    /// envelope decode, deep verifier) before anyone trusts the bytes.
-    fn reconstruct(
-        &self,
-        states: &[ShardState],
-        object_len: u32,
-        object_digest: u64,
-    ) -> Result<Bytes, String> {
-        let ec = self.erasure.as_ref().expect("erasure mode");
-        let slots: Vec<Option<&[u8]>> = states
-            .iter()
-            .map(|s| match s {
-                ShardState::Healthy { header, payload }
-                    if header.object_len == object_len
-                        && header.object_digest == object_digest =>
-                {
-                    Some(payload.as_ref())
-                }
+        let reason = failure.or_else(|| {
+            slots.iter().rev().find_map(|s| match s {
+                Slot::Corrupt(reason) => Some(reason.clone()),
                 _ => None,
             })
-            .collect();
-        let data = ec
-            .decode(&slots, object_len as usize)
-            .map_err(|e| e.to_string())?;
-        let envelope = Bytes::from(data);
-        if fnv64(&envelope) != object_digest {
-            return Err("reconstructed object digest mismatch".to_string());
-        }
+        });
+        reason.map_or(Verdict::Absent, Verdict::Damaged)
+    }
+
+    /// Reconstruct generation `gen` and verify it end to end (object
+    /// digest, envelope decode, deep verifier) before anyone trusts the
+    /// bytes.
+    fn verified(&self, slots: &[Slot], gen: Generation) -> Result<Bytes, String> {
+        let envelope = self.codec.reconstruct(slots, gen)?;
         let (kind, payload) =
-            decode_envelope(&envelope).map_err(|e| format!("reconstructed object: {e}"))?;
+            decode_envelope(&envelope).map_err(|e| format!("object envelope: {e}"))?;
         if let Some(verifier) = self.verifiers.get(&kind) {
             verifier
                 .verify(&payload)
@@ -687,106 +752,65 @@ impl Vault {
         Ok(envelope)
     }
 
-    /// Checksum-verified read. Replica mode returns the first healthy
-    /// copy, falling back past damaged backends; erasure mode
-    /// reconstructs from any `k` healthy shards of the winning
-    /// generation. With [`heal_on_get`](VaultBuilder::heal_on_get),
-    /// damaged copies/shards the read skipped are rewritten
-    /// (best-effort).
-    pub fn get(&self, key: &str) -> Result<(ObjectKind, Bytes), VaultError> {
-        match self.erasure {
-            None => self.get_replicated(key),
-            Some(_) => self.get_erasure(key),
+    /// Rewrite the slots of `key` that `stale` selects from the verified
+    /// `envelope`. The envelope is encoded into slots only when some
+    /// slot needs rewriting. Returns the rewritten slot indices.
+    fn repair(
+        &self,
+        key: &str,
+        slots: &[Slot],
+        envelope: &Bytes,
+        stale: impl Fn(&Slot) -> bool,
+    ) -> Vec<usize> {
+        let stale: Vec<usize> = (0..slots.len()).filter(|&i| stale(&slots[i])).collect();
+        if stale.is_empty() {
+            return stale;
         }
-    }
-
-    fn get_replicated(&self, key: &str) -> Result<(ObjectKind, Bytes), VaultError> {
-        let mut damaged: Vec<usize> = Vec::new();
-        let mut last_reason: Option<String> = None;
-        let mut any_copy = false;
-        for (i, replica) in self.backends.iter().enumerate() {
-            match self.classify(replica, key) {
-                CopyState::Healthy(raw) => {
-                    if self.heal_on_get {
-                        for &d in &damaged {
-                            let _ = self.with_retry(|| self.backends[d].put(key, &raw));
-                        }
-                    }
-                    let (kind, payload) =
-                        decode_envelope(&raw).expect("classified healthy, must decode");
-                    return Ok((kind, payload));
-                }
-                CopyState::Corrupt(reason) => {
-                    any_copy = true;
-                    damaged.push(i);
-                    last_reason = Some(reason);
-                }
-                CopyState::Missing => {}
-            }
-        }
-        if any_copy {
-            Err(VaultError::Damaged {
-                key: key.to_string(),
-                reason: last_reason.unwrap_or_default(),
+        let encoded = self.codec.encode(envelope);
+        stale
+            .into_iter()
+            .filter(|&i| {
+                let backend = &self.backends[self.slot_backend(key, i)];
+                self.with_retry(|| backend.put(key, &encoded[i])).is_ok()
             })
-        } else {
-            Err(VaultError::NotFound(key.to_string()))
-        }
+            .collect()
     }
 
-    fn get_erasure(&self, key: &str) -> Result<(ObjectKind, Bytes), VaultError> {
-        let ec = self.erasure.as_ref().expect("erasure mode");
-        let states: Vec<ShardState> = (0..ec.total())
-            .map(|i| self.classify_shard(key, i))
-            .collect();
-        let present = states
-            .iter()
-            .filter(|s| !matches!(s, ShardState::Missing))
-            .count();
-        let Some((object_len, object_digest, have)) = stripe_winner(&states) else {
-            return if present == 0 {
-                Err(VaultError::NotFound(key.to_string()))
-            } else {
-                Err(VaultError::Unrecoverable {
-                    key: key.to_string(),
-                    have: 0,
-                    need: ec.k(),
-                })
-            };
-        };
-        if have < ec.k() {
-            return Err(VaultError::Unrecoverable {
+    /// Checksum-verified read: the winning generation, reconstructed
+    /// and verified end to end. Slots found damaged — corrupt, or of a
+    /// generation that failed verification — are rewritten in passing
+    /// (best-effort). Outvoted digest-valid slots and missing ones wait
+    /// for scrub: the read saw each slot at a different instant, so an
+    /// outvoted slot may hold a concurrent `put` that has already been
+    /// acknowledged.
+    pub fn get(&self, key: &str) -> Result<(ObjectKind, Bytes), VaultError> {
+        let slots = self
+            .read_slots(key, &|| true)
+            .expect("an unconditional read never gives way");
+        match self.elect(&slots) {
+            Verdict::Verified {
+                envelope,
+                disqualified,
+                ..
+            } => {
+                self.repair(key, &slots, &envelope, |slot| match slot {
+                    Slot::Healthy { gen, .. } => disqualified.contains(gen),
+                    Slot::Corrupt(_) => true,
+                    Slot::Missing => false,
+                });
+                Ok(decode_envelope(&envelope).expect("elect verified the envelope"))
+            }
+            Verdict::Absent => Err(VaultError::NotFound(key.to_string())),
+            Verdict::Short { have, .. } => Err(VaultError::Unrecoverable {
                 key: key.to_string(),
                 have,
-                need: ec.k(),
-            });
-        }
-        let envelope = self
-            .reconstruct(&states, object_len, object_digest)
-            .map_err(|reason| VaultError::Damaged {
+                need: self.codec.k(),
+            }),
+            Verdict::Damaged(reason) => Err(VaultError::Damaged {
                 key: key.to_string(),
                 reason,
-            })?;
-        if self.heal_on_get {
-            // Rewrite corrupt (or outvoted) slots the read fell past —
-            // like replica heal-on-get, absent shards wait for scrub.
-            let shards = self.shard_envelopes(&envelope);
-            for (i, state) in states.iter().enumerate() {
-                let heal = match state {
-                    ShardState::Healthy { header, .. } => {
-                        header.object_len != object_len || header.object_digest != object_digest
-                    }
-                    ShardState::Corrupt(_) => true,
-                    ShardState::Missing => false,
-                };
-                if heal {
-                    let backend = &self.backends[self.slot_backend(key, i)];
-                    let _ = self.with_retry(|| backend.put(key, &shards[i]));
-                }
-            }
+            }),
         }
-        let (kind, payload) = decode_envelope(&envelope).expect("reconstruct verified the envelope");
-        Ok((kind, payload))
     }
 
     /// All keys stored on at least one backend, ascending.
@@ -798,10 +822,9 @@ impl Vault {
         Ok(keys.into_iter().collect())
     }
 
-    /// Integrity sweep with self-healing repair: every damaged or
-    /// missing copy is rewritten byte-identically — copied from a
-    /// verified backend in replica mode, rebuilt from surviving shards
-    /// in erasure mode.
+    /// Integrity sweep with self-healing repair: every damaged, outvoted
+    /// or missing slot is rewritten byte-identically from the verified
+    /// winning generation.
     pub fn scrub(&self) -> Result<ScrubReport, VaultError> {
         self.scan(true)
     }
@@ -811,181 +834,85 @@ impl Vault {
         self.scan(false)
     }
 
-    /// Classify, count and (optionally) repair one key across the pool
-    /// — the shared per-object body of [`scan`](Vault::scan) and the
-    /// single-object entry points. `stripe` is the scan-order index
-    /// used in detail lines.
+    /// The per-object body of every integrity pass: classify, vote and
+    /// verify, count every slot into `report` (slots outside the winning
+    /// generation count as corrupt), and with `repair` rewrite them.
+    /// `stripe` is the scan-order index used in detail lines. Returns
+    /// `None`, having changed nothing, when `keep_going` declines before
+    /// a slot read or before the repair writes.
     fn scan_key(
         &self,
         stripe: usize,
         key: &str,
         repair: bool,
+        keep_going: &dyn Fn() -> bool,
         report: &mut ScrubReport,
         span: &daspos_obs::Span,
-    ) {
-        match self.erasure {
-            None => {
-                let states: Vec<CopyState> = self
-                    .backends
-                    .iter()
-                    .map(|r| self.classify(r, key))
-                    .collect();
-                self.judge_and_repair(key, &states, repair, report, span);
-            }
-            Some(ref ec) => {
-                let states: Vec<ShardState> = (0..ec.total())
-                    .map(|i| self.classify_shard(key, i))
-                    .collect();
-                self.judge_stripe(stripe, key, &states, repair, report, span);
-            }
+    ) -> Option<()> {
+        let slots = self.read_slots(key, keep_going)?;
+        if !keep_going() {
+            return None;
         }
-    }
-
-    /// Count one key's classified copies into `report` and (optionally)
-    /// rewrite every non-healthy copy from a verified one — the replica
-    /// tail of [`scan_key`](Vault::scan_key), split out so
-    /// interruptible callers can classify backends at their own pace.
-    fn judge_and_repair(
-        &self,
-        key: &str,
-        states: &[CopyState],
-        repair: bool,
-        report: &mut ScrubReport,
-        span: &daspos_obs::Span,
-    ) {
-        let healthy = states.iter().find_map(|s| match s {
-            CopyState::Healthy(raw) => Some(raw.clone()),
-            _ => None,
-        });
+        let verdict = self.elect(&slots);
+        let standing = match &verdict {
+            Verdict::Verified { gen, .. } | Verdict::Short { gen, .. } => Some(*gen),
+            Verdict::Absent | Verdict::Damaged(_) => None,
+        };
         let mut corrupt_here = 0u64;
         let mut missing_here = 0u64;
-        for state in states {
-            match state {
-                CopyState::Healthy(_) => report.checked += 1,
-                CopyState::Corrupt(_) => {
+        for slot in &slots {
+            match slot {
+                Slot::Missing => missing_here += 1,
+                Slot::Healthy { gen, .. } if Some(*gen) == standing => report.checked += 1,
+                _ => {
                     report.checked += 1;
                     corrupt_here += 1;
-                }
-                CopyState::Missing => missing_here += 1,
-            }
-        }
-        report.corrupt += corrupt_here;
-        report.missing += missing_here;
-
-        let mut repaired_here = 0u64;
-        match &healthy {
-            Some(raw) if repair => {
-                for (i, state) in states.iter().enumerate() {
-                    if !matches!(state, CopyState::Healthy(_))
-                        && self.with_retry(|| self.backends[i].put(key, raw)).is_ok()
-                    {
-                        repaired_here += 1;
-                    }
-                }
-                report.repaired += repaired_here;
-            }
-            Some(_) => {}
-            None => report.lost.push(key.to_string()),
-        }
-
-        if span.enabled() {
-            let mut child = span.child_fmt(format_args!("object-{key}"));
-            child.field("corrupt", corrupt_here);
-            child.field("missing", missing_here);
-            child.field("repaired", repaired_here);
-            child.finish();
-        }
-    }
-
-    /// The erasure tail of [`scan_key`](Vault::scan_key): pick the
-    /// stripe's winning generation, count every slot against it, and
-    /// (optionally) rebuild every non-winner slot from a reconstructed
-    /// — and re-verified — object. Fewer than `k` survivors is reported
-    /// loudly as unrecoverable; nothing is ever fabricated.
-    fn judge_stripe(
-        &self,
-        stripe: usize,
-        key: &str,
-        states: &[ShardState],
-        repair: bool,
-        report: &mut ScrubReport,
-        span: &daspos_obs::Span,
-    ) {
-        let ec = self.erasure.as_ref().expect("erasure mode");
-        let k = ec.k();
-        let total = ec.total();
-        let winner = stripe_winner(states);
-        let mut corrupt_here = 0u64;
-        let mut missing_here = 0u64;
-        let mut bad_slots: Vec<usize> = Vec::new();
-        for (i, state) in states.iter().enumerate() {
-            match state {
-                ShardState::Healthy { header, .. } => {
-                    report.checked += 1;
-                    let in_winner = winner
-                        .map(|(len, digest, _)| {
-                            header.object_len == len && header.object_digest == digest
-                        })
-                        .unwrap_or(false);
-                    if !in_winner {
-                        corrupt_here += 1;
-                        bad_slots.push(i);
-                    }
-                }
-                ShardState::Corrupt(_) => {
-                    report.checked += 1;
-                    corrupt_here += 1;
-                    bad_slots.push(i);
-                }
-                ShardState::Missing => {
-                    missing_here += 1;
-                    bad_slots.push(i);
                 }
             }
         }
         report.corrupt += corrupt_here;
         report.missing += missing_here;
 
+        let k = self.codec.k();
         let mut repaired_here = 0u64;
         let mut rebuilt_here = 0u64;
-        let have = winner.map(|(_, _, n)| n).unwrap_or(0);
-        let recovered = if have < k {
-            report.unrecoverable += 1;
-            report.lost.push(key.to_string());
-            report.details.push(format!(
-                "stripe {stripe}: '{key}' unrecoverable ({have}/{k} shards survive)"
-            ));
-            false
-        } else {
-            let (object_len, object_digest, _) = winner.expect("have >= k implies a winner");
-            match self.reconstruct(states, object_len, object_digest) {
-                Ok(envelope) => {
-                    if repair && !bad_slots.is_empty() {
-                        let shards = self.shard_envelopes(&envelope);
-                        for &i in &bad_slots {
-                            let backend = &self.backends[self.slot_backend(key, i)];
-                            if self.with_retry(|| backend.put(key, &shards[i])).is_ok() {
-                                repaired_here += 1;
-                                rebuilt_here += 1;
-                                report.details.push(format!(
-                                    "stripe {stripe}: rebuilt shard {i}/{total} on backend {}",
-                                    backend.name()
-                                ));
-                            }
-                        }
+        let recovered = matches!(verdict, Verdict::Verified { .. });
+        match verdict {
+            Verdict::Verified { gen, envelope, .. } if repair => {
+                let rewritten = self.repair(
+                    key,
+                    &slots,
+                    &envelope,
+                    |slot| !matches!(slot, Slot::Healthy { gen: g, .. } if *g == gen),
+                );
+                repaired_here = rewritten.len() as u64;
+                if self.codec.rebuilds() {
+                    rebuilt_here = repaired_here;
+                    for i in rewritten {
+                        report.details.push(format!(
+                            "stripe {stripe}: rebuilt shard {i}/{} on backend {}",
+                            slots.len(),
+                            self.backends[self.slot_backend(key, i)].name()
+                        ));
                     }
-                    true
-                }
-                Err(reason) => {
-                    report.unrecoverable += 1;
-                    report.lost.push(key.to_string());
-                    report.details.push(format!(
-                        "stripe {stripe}: '{key}' reconstructs but is damaged: {reason}"
-                    ));
-                    false
                 }
             }
-        };
+            Verdict::Verified { .. } | Verdict::Absent => {}
+            Verdict::Short { have, .. } => {
+                report.unrecoverable += 1;
+                report.lost.push(key.to_string());
+                report.details.push(format!(
+                    "stripe {stripe}: '{key}' unrecoverable ({have}/{k} shards survive)"
+                ));
+            }
+            Verdict::Damaged(reason) => {
+                report.unrecoverable += 1;
+                report.lost.push(key.to_string());
+                report
+                    .details
+                    .push(format!("stripe {stripe}: '{key}' is damaged: {reason}"));
+            }
+        }
         report.repaired += repaired_here;
         report.rebuilt += rebuilt_here;
 
@@ -998,6 +925,7 @@ impl Vault {
             child.field("recovered", usize::from(recovered));
             child.finish();
         }
+        Some(())
     }
 
     fn record_scrub_counters(&self, report: &ScrubReport) {
@@ -1025,7 +953,7 @@ impl Vault {
             ..ScrubReport::default()
         };
         for (stripe, key) in keys.iter().enumerate() {
-            self.scan_key(stripe, key, repair, &mut report, &span);
+            self.scan_key(stripe, key, repair, &|| true, &mut report, &span);
         }
         self.record_scrub_counters(&report);
         span.field("corrupt", report.corrupt);
@@ -1041,83 +969,37 @@ impl Vault {
     /// sweep. Reports [`VaultError::NotFound`] when no backend stores
     /// the key at all.
     pub fn scrub_object(&self, key: &str) -> Result<ScrubReport, VaultError> {
-        self.scan_one(key, true)
+        self.scan_one(key, true, &|| true)
+            .map(|r| r.expect("an unconditional scrub never gives way"))
     }
 
     /// Integrity-check a single object without repairing anything.
     pub fn verify_object(&self, key: &str) -> Result<ScrubReport, VaultError> {
-        self.scan_one(key, false)
+        self.scan_one(key, false, &|| true)
+            .map(|r| r.expect("an unconditional verify never gives way"))
     }
 
     /// Like [`scrub_object`](Vault::scrub_object), but cooperatively
-    /// abandonable: `keep_going` is consulted before every per-backend
-    /// classification (each one deep-verifies a full copy or shard) and
-    /// once more before any repair writes start. When it turns false the
-    /// scrub returns `Ok(None)` having mutated nothing — the caller
-    /// retries the whole object on a later tick. This bounds how long a
-    /// background scrubber can monopolize the store to one
-    /// classification instead of a full sweep.
+    /// abandonable: `keep_going` is consulted before every slot read and
+    /// once more before the vote, verification and repair writes start.
+    /// When it turns false the scrub returns `Ok(None)` having mutated
+    /// nothing — the caller retries the whole object on a later tick.
+    /// This bounds how long a background scrubber can monopolize the
+    /// store to one slot read instead of a full sweep.
     pub fn scrub_object_while(
         &self,
         key: &str,
         keep_going: &dyn Fn() -> bool,
     ) -> Result<Option<ScrubReport>, VaultError> {
-        let mut span = self.obs.tracer.span("scrub-object");
-        span.field("replicas", self.backends.len());
-        let mut report = ScrubReport {
-            objects: 1,
-            replicas: self.backends.len(),
-            ..ScrubReport::default()
-        };
-        match self.erasure {
-            None => {
-                let mut states = Vec::with_capacity(self.backends.len());
-                for replica in &self.backends {
-                    if !keep_going() {
-                        span.field("abandoned", 1usize);
-                        span.finish();
-                        return Ok(None);
-                    }
-                    states.push(self.classify(replica, key));
-                }
-                if !keep_going() {
-                    // Classified but not yet judged: repairs rewrite full
-                    // copies, so give way before starting them too.
-                    span.field("abandoned", 1usize);
-                    span.finish();
-                    return Ok(None);
-                }
-                self.judge_and_repair(key, &states, true, &mut report, &span);
-            }
-            Some(ref ec) => {
-                let mut states = Vec::with_capacity(ec.total());
-                for i in 0..ec.total() {
-                    if !keep_going() {
-                        span.field("abandoned", 1usize);
-                        span.finish();
-                        return Ok(None);
-                    }
-                    states.push(self.classify_shard(key, i));
-                }
-                if !keep_going() {
-                    span.field("abandoned", 1usize);
-                    span.finish();
-                    return Ok(None);
-                }
-                self.judge_stripe(0, key, &states, true, &mut report, &span);
-            }
-        }
-        if report.checked == 0 {
-            return Err(VaultError::NotFound(key.to_string()));
-        }
-        self.record_scrub_counters(&report);
-        span.field("corrupt", report.corrupt);
-        span.field("repaired", report.repaired);
-        span.finish();
-        Ok(Some(report))
+        self.scan_one(key, true, keep_going)
     }
 
-    fn scan_one(&self, key: &str, repair: bool) -> Result<ScrubReport, VaultError> {
+    fn scan_one(
+        &self,
+        key: &str,
+        repair: bool,
+        keep_going: &dyn Fn() -> bool,
+    ) -> Result<Option<ScrubReport>, VaultError> {
         let mut span = self.obs.tracer.span(if repair {
             "scrub-object"
         } else {
@@ -1129,7 +1011,14 @@ impl Vault {
             replicas: self.backends.len(),
             ..ScrubReport::default()
         };
-        self.scan_key(0, key, repair, &mut report, &span);
+        if self
+            .scan_key(0, key, repair, keep_going, &mut report, &span)
+            .is_none()
+        {
+            span.field("abandoned", 1usize);
+            span.finish();
+            return Ok(None);
+        }
         if report.checked == 0 {
             // Every backend reported the key absent: not damage, absence.
             return Err(VaultError::NotFound(key.to_string()));
@@ -1138,7 +1027,7 @@ impl Vault {
         span.field("corrupt", report.corrupt);
         span.field("repaired", report.repaired);
         span.finish();
-        Ok(report)
+        Ok(Some(report))
     }
 }
 
@@ -1220,39 +1109,6 @@ mod tests {
         let (dyns, _) = pool(2);
         let vault = Vault::builder().backends(dyns).build().unwrap();
         assert_eq!(vault.redundancy(), Redundancy::Replicas(2));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn replica_shim_desugars_to_backends_plus_replicas_byte_identically() {
-        // The deprecated additive builder and the redesigned one must
-        // produce vaults whose stored bytes are identical.
-        let (dyns_a, mems_a) = pool(3);
-        let mut builder = Vault::builder().policy(RetryPolicy::none());
-        for b in dyns_a {
-            builder = builder.replica(b);
-        }
-        let old_style = builder.build().unwrap();
-        assert_eq!(old_style.redundancy(), Redundancy::Replicas(3));
-
-        let (dyns_b, mems_b) = pool(3);
-        let new_style = Vault::builder()
-            .policy(RetryPolicy::none())
-            .backends(dyns_b)
-            .redundancy(Redundancy::Replicas(3))
-            .build()
-            .unwrap();
-
-        let payload = Bytes::from_static(b"same bytes either way");
-        old_style.put("obj", ObjectKind::Opaque, &payload).unwrap();
-        new_style.put("obj", ObjectKind::Opaque, &payload).unwrap();
-        for (a, b) in mems_a.iter().zip(&mems_b) {
-            assert_eq!(a.get("obj").unwrap(), b.get("obj").unwrap());
-        }
-        assert_eq!(
-            old_style.get("obj").unwrap(),
-            new_style.get("obj").unwrap()
-        );
     }
 
     #[test]
@@ -1685,6 +1541,159 @@ mod tests {
     }
 
     #[test]
+    fn replicas_outvote_a_divergent_write_generation() {
+        // A copy left behind by an older put (as a put that reached only
+        // some backends would leave) is outvoted, not served.
+        let (vault, backends) = three_replica_vault();
+        let old = Bytes::from_static(b"generation one");
+        let new = Bytes::from_static(b"generation two, the winner");
+        vault.put("obj", ObjectKind::Opaque, &old).unwrap();
+        let stale = backends[0].get("obj").unwrap();
+        vault.put("obj", ObjectKind::Opaque, &new).unwrap();
+        backends[0].put("obj", &stale).unwrap();
+
+        let report = vault.verify().unwrap();
+        assert_eq!(report.corrupt, 1, "the stale copy is outvoted");
+        let (_, got) = vault.get("obj").unwrap();
+        assert_eq!(got, new, "two fresh copies outvote one stale copy");
+        assert_eq!(
+            backends[0].get("obj").unwrap(),
+            stale,
+            "get leaves a digest-valid outvoted copy to scrub"
+        );
+
+        let report = vault.scrub().unwrap();
+        assert_eq!((report.corrupt, report.repaired), (1, 1));
+        assert!(report.clean(), "{}", report.to_text());
+        let fresh = encode_envelope(ObjectKind::Opaque, &new);
+        for b in &backends {
+            assert_eq!(b.get("obj").unwrap(), fresh, "every copy holds the winner");
+        }
+    }
+
+    #[test]
+    fn replica_tie_converges_on_one_generation() {
+        let (dyns, backends) = pool(2);
+        let vault = Vault::builder()
+            .policy(RetryPolicy::none())
+            .backends(dyns)
+            .redundancy(Redundancy::Replicas(2))
+            .build()
+            .unwrap();
+        vault
+            .put("obj", ObjectKind::Opaque, &Bytes::from_static(b"left"))
+            .unwrap();
+        let left = backends[0].get("obj").unwrap();
+        vault
+            .put("obj", ObjectKind::Opaque, &Bytes::from_static(b"right"))
+            .unwrap();
+        backends[0].put("obj", &left).unwrap();
+
+        let report = vault.scrub().unwrap();
+        assert_eq!((report.corrupt, report.repaired), (1, 1));
+        assert!(report.clean(), "{}", report.to_text());
+        assert_eq!(
+            backends[0].get("obj").unwrap(),
+            backends[1].get("obj").unwrap()
+        );
+        let again = vault.verify().unwrap();
+        assert!(again.clean() && again.corrupt == 0, "{}", again.to_text());
+    }
+
+    type Hook = Arc<std::sync::Mutex<Option<Box<dyn FnOnce() + Send>>>>;
+
+    /// A backend that runs a hook just before its `hook_at`-th `get`
+    /// (counted across every backend sharing `gets`).
+    struct HookedBackend {
+        inner: Arc<MemoryBackend>,
+        gets: Arc<std::sync::atomic::AtomicUsize>,
+        hook_at: usize,
+        hook: Hook,
+    }
+
+    impl StorageBackend for HookedBackend {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn put(&self, key: &str, data: &Bytes) -> Result<(), StorageError> {
+            self.inner.put(key, data)
+        }
+        fn get(&self, key: &str) -> Result<Bytes, StorageError> {
+            let n = self.gets.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1;
+            if n == self.hook_at {
+                if let Some(hook) = self.hook.lock().unwrap().take() {
+                    hook();
+                }
+            }
+            self.inner.get(key)
+        }
+        fn delete(&self, key: &str) -> Result<(), StorageError> {
+            self.inner.delete(key)
+        }
+        fn list(&self, prefix: &str) -> Result<Vec<String>, StorageError> {
+            self.inner.list(prefix)
+        }
+    }
+
+    #[test]
+    fn get_racing_a_put_never_reverts_the_acknowledged_write() {
+        // Replicas(2): the get reads one copy of v1, then a put of v2
+        // lands on both backends and is acknowledged, then the get reads
+        // the second copy (v2). The 1-1 tie favors the longer v1, which
+        // the get may return — but it must not write v1 over v2.
+        let (dyns, mems) = pool(2);
+        let writer = Vault::builder()
+            .policy(RetryPolicy::none())
+            .backends(dyns)
+            .redundancy(Redundancy::Replicas(2))
+            .build()
+            .unwrap();
+        let old = Bytes::from_static(b"generation one, the longer payload");
+        let new = Bytes::from_static(b"generation two");
+        writer.put("obj", ObjectKind::Opaque, &old).unwrap();
+
+        let gets = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let hook: Hook = Arc::new(std::sync::Mutex::new(None));
+        let hooked: Vec<Arc<dyn StorageBackend>> = mems
+            .iter()
+            .map(|m| {
+                Arc::new(HookedBackend {
+                    inner: m.clone(),
+                    gets: gets.clone(),
+                    hook_at: 2,
+                    hook: hook.clone(),
+                }) as Arc<dyn StorageBackend>
+            })
+            .collect();
+        let reader = Vault::builder()
+            .policy(RetryPolicy::none())
+            .backends(hooked)
+            .redundancy(Redundancy::Replicas(2))
+            .build()
+            .unwrap();
+        let writer = Arc::new(writer);
+        let racing = {
+            let writer = writer.clone();
+            let new = new.clone();
+            move || writer.put("obj", ObjectKind::Opaque, &new).unwrap()
+        };
+        *hook.lock().unwrap() = Some(Box::new(racing));
+
+        let (_, got) = reader.get("obj").unwrap();
+        assert_eq!(got, old, "the tie favors the longer generation");
+        let fresh = encode_envelope(ObjectKind::Opaque, &new);
+        for m in &mems {
+            assert_eq!(
+                m.get("obj").unwrap(),
+                fresh,
+                "the acknowledged put survives"
+            );
+        }
+        let (_, after) = writer.get("obj").unwrap();
+        assert_eq!(after, new);
+    }
+
+    #[test]
     fn erasure_heal_on_get_rewrites_corrupt_slots() {
         let (vault, backends) = erasure_vault(2, 1, 3);
         let payload = Bytes::from_static(b"heal my shards in passing");
@@ -1705,28 +1714,18 @@ mod tests {
 
     #[test]
     fn placement_never_doubles_up_within_a_stripe() {
-        for policy in [PlacementPolicy::KeyRotation, PlacementPolicy::Identity] {
-            let (dyns, _) = pool(6);
-            let vault = Vault::builder()
-                .backends(dyns)
-                .redundancy(Redundancy::Erasure { k: 4, m: 2 })
-                .placement(policy)
-                .build()
-                .unwrap();
-            for key in ["a", "tier-aod.dpef", "some-very-long-key-name.dpar"] {
-                let slots: BTreeSet<usize> =
-                    (0..6).map(|i| vault.slot_backend(key, i)).collect();
-                assert_eq!(slots.len(), 6, "{policy:?} {key}");
-            }
-        }
-        // KeyRotation actually rotates: different keys start on
-        // different backends (for at least one pair among a few keys).
         let (dyns, _) = pool(6);
         let vault = Vault::builder()
             .backends(dyns)
             .redundancy(Redundancy::Erasure { k: 4, m: 2 })
             .build()
             .unwrap();
+        for key in ["a", "tier-aod.dpef", "some-very-long-key-name.dpar"] {
+            let slots: BTreeSet<usize> = (0..6).map(|i| vault.slot_backend(key, i)).collect();
+            assert_eq!(slots.len(), 6, "{key}");
+        }
+        // Key rotation actually rotates: different keys start on
+        // different backends (for at least one pair among a few keys).
         let starts: BTreeSet<usize> = ["a", "b", "c", "d", "e", "f", "g"]
             .iter()
             .map(|k| vault.slot_backend(k, 0))

@@ -1,8 +1,9 @@
 //! Property tests: the DPVO envelope round-trips exactly and detects
 //! every single-bit flip; a replicated vault repairs any single-replica
-//! corruption byte-identically; an erasure-coded vault survives any
-//! ≤ m shard erasures plus a bit flip, and reports > m erasures as
-//! typed `Unrecoverable` — never wrong bytes.
+//! corruption byte-identically; a vault of either redundancy mode
+//! survives any tolerated erasures plus a bit flip, and an erasure-coded
+//! vault reports > m erasures as typed `Unrecoverable` — never wrong
+//! bytes.
 
 use std::sync::Arc;
 
@@ -17,10 +18,15 @@ fn arb_kind() -> impl Strategy<Value = ObjectKind> {
     (0u8..4).prop_map(|v| ObjectKind::from_u8(v).expect("0..4 are all valid"))
 }
 
-/// A fresh `k + m` erasure vault over `k + m` memory backends.
-fn erasure_fixture(k: usize, m: usize) -> (Vault, Vec<Arc<MemoryBackend>>) {
+/// A fresh vault over exactly as many memory backends as its stripe
+/// has slots.
+fn fixture(redundancy: Redundancy) -> (Vault, Vec<Arc<MemoryBackend>>) {
+    let slots = match redundancy {
+        Redundancy::Replicas(n) => n,
+        Redundancy::Erasure { k, m } => k + m,
+    };
     let backends: Vec<Arc<MemoryBackend>> =
-        (0..k + m).map(|_| Arc::new(MemoryBackend::new())).collect();
+        (0..slots).map(|_| Arc::new(MemoryBackend::new())).collect();
     let vault = Vault::builder()
         .policy(RetryPolicy::none())
         .backends(
@@ -29,10 +35,23 @@ fn erasure_fixture(k: usize, m: usize) -> (Vault, Vec<Arc<MemoryBackend>>) {
                 .map(|b| b.clone() as Arc<dyn StorageBackend>)
                 .collect(),
         )
-        .redundancy(Redundancy::Erasure { k, m })
+        .redundancy(redundancy)
         .build()
         .unwrap();
     (vault, backends)
+}
+
+/// A fresh `k + m` erasure vault over `k + m` memory backends.
+fn erasure_fixture(k: usize, m: usize) -> (Vault, Vec<Arc<MemoryBackend>>) {
+    fixture(Redundancy::Erasure { k, m })
+}
+
+/// `Replicas(1..=4)` or `Erasure { k: 1..=5, m: 1..=3 }`.
+fn arb_redundancy() -> impl Strategy<Value = Redundancy> {
+    prop_oneof![
+        (1usize..=4).prop_map(Redundancy::Replicas),
+        (1usize..=5, 1usize..=3).prop_map(|(k, m)| Redundancy::Erasure { k, m }),
+    ]
 }
 
 proptest! {
@@ -105,8 +124,7 @@ proptest! {
 
     #[test]
     fn erasure_survives_any_m_erasures_plus_a_bit_flip(
-        k in 1usize..=5,
-        m in 1usize..=3,
+        redundancy in arb_redundancy(),
         payload in prop::collection::vec(any::<u8>(), 1..400),
         erase_mask in any::<u16>(),
         slot_pick in any::<u16>(),
@@ -114,12 +132,13 @@ proptest! {
         bit in 0u8..8,
     ) {
         let payload = Bytes::from(payload);
-        let (vault, backends) = erasure_fixture(k, m);
+        let (vault, backends) = fixture(redundancy);
         vault.put("obj", ObjectKind::Opaque, &payload).unwrap();
         let pristine: Vec<Bytes> = backends.iter().map(|b| b.get("obj").unwrap()).collect();
 
-        // Erase up to m whole shards, chosen by the mask.
-        let total = k + m;
+        // Erase up to m whole slots (m = tolerated losses), chosen by
+        // the mask.
+        let (total, m) = (backends.len(), redundancy.tolerates());
         let mut erased = 0usize;
         for i in 0..total {
             if erased < m && (erase_mask >> i) & 1 == 1 {
@@ -127,8 +146,8 @@ proptest! {
                 erased += 1;
             }
         }
-        // Flip one bit in one *surviving* shard (corruption is detected
-        // at the DPVS digest, so it costs one more shard — only allowed
+        // Flip one bit in one *surviving* slot (caught by the shard or
+        // envelope digest, so it costs one more slot — only allowed
         // when the stripe still has slack for it).
         if erased < m {
             let survivors: Vec<usize> = (0..total)

@@ -64,7 +64,7 @@ pub use object::{
 };
 pub use policy::RetryPolicy;
 pub use shard::{
-    decode_shard, encode_shard, shard_digest, ShardError, ShardHeader, SHARD_MAGIC,
-    SHARD_OVERHEAD, SHARD_VERSION,
+    decode_shard, decode_stripe, encode_shard, encode_stripe, shard_digest, ShardError,
+    ShardHeader, SHARD_MAGIC, SHARD_OVERHEAD, SHARD_VERSION,
 };
 pub use vault::{Redundancy, ScrubReport, Vault, VaultBuilder, VaultError};

@@ -21,7 +21,7 @@
 
 use bytes::Bytes;
 use daspos_conditions::Snapshot;
-use daspos_tiers::codec::{self, fnv64};
+use daspos_tiers::codec::{self, fnv64, fnv64_lanes, fnv64_resume};
 
 /// Envelope magic: **D**ASPOS **P**reservation **V**ault **O**bject.
 pub const ENVELOPE_MAGIC: &[u8; 4] = b"DPVO";
@@ -160,10 +160,7 @@ impl std::error::Error for EnvelopeError {}
 /// The digest an envelope stores: fnv64 over the kind byte followed by
 /// the payload, so kind and payload corrupt together.
 pub fn envelope_digest(kind: ObjectKind, payload: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(1 + payload.len());
-    buf.push(kind.as_u8());
-    buf.extend_from_slice(payload);
-    fnv64(&buf)
+    fnv64_resume(fnv64(&[kind.as_u8()]), payload)
 }
 
 /// Wrap `payload` in a `DPVO` envelope.
@@ -185,9 +182,10 @@ pub(crate) fn stored_digest(envelope: &[u8]) -> u64 {
     u64::from_le_bytes(envelope[7..15].try_into().expect("8-byte slice"))
 }
 
-/// Unwrap a `DPVO` envelope, verifying version, kind, length, and
-/// digest. The returned payload is a zero-copy slice of `data`.
-pub fn decode_envelope(data: &Bytes) -> Result<(ObjectKind, Bytes), EnvelopeError> {
+/// Every check of [`decode_envelope`] except the digest: magic,
+/// version, kind and length. Only for bytes whose digest was already
+/// checked — or equal to bytes that were.
+pub(crate) fn parse_envelope(data: &Bytes) -> Result<(ObjectKind, Bytes), EnvelopeError> {
     if data.len() < ENVELOPE_OVERHEAD || &data[..4] != ENVELOPE_MAGIC {
         return Err(EnvelopeError::NotAnEnvelope);
     }
@@ -196,18 +194,44 @@ pub fn decode_envelope(data: &Bytes) -> Result<(ObjectKind, Bytes), EnvelopeErro
         return Err(EnvelopeError::Version(version));
     }
     let kind = ObjectKind::from_u8(data[6]).ok_or(EnvelopeError::Kind(data[6]))?;
-    let stored = stored_digest(data);
     let declared = u32::from_le_bytes(data[15..19].try_into().expect("4-byte slice")) as usize;
     let actual = data.len() - ENVELOPE_OVERHEAD;
     if declared != actual {
         return Err(EnvelopeError::Length { declared, actual });
     }
-    let payload = data.slice(ENVELOPE_OVERHEAD..);
-    let computed = envelope_digest(kind, &payload);
+    Ok((kind, data.slice(ENVELOPE_OVERHEAD..)))
+}
+
+/// Unwrap a `DPVO` envelope, verifying version, kind, length, and
+/// digest. The returned payload is a zero-copy slice of `data`.
+pub fn decode_envelope(data: &Bytes) -> Result<(ObjectKind, Bytes), EnvelopeError> {
+    let (kind, payload) = parse_envelope(data)?;
+    check_digest(data, envelope_digest(kind, &payload))?;
+    Ok((kind, payload))
+}
+
+/// `fnv64(data)` — the object digest a `DPVS` stripe records — beside
+/// [`decode_envelope`]`(data)`, both digests computed in one two-lane
+/// pass over the payload ([`fnv64_lanes`]).
+pub(crate) fn digest_and_decode_envelope(
+    data: &Bytes,
+) -> (u64, Result<(ObjectKind, Bytes), EnvelopeError>) {
+    let (kind, payload) = match parse_envelope(data) {
+        Ok(parts) => parts,
+        Err(e) => return (fnv64(data), Err(e)),
+    };
+    let mut states = [fnv64(&data[..ENVELOPE_OVERHEAD]), fnv64(&[kind.as_u8()])];
+    fnv64_lanes(&mut states, &[&payload, &payload]);
+    let decoded = check_digest(data, states[1]).map(|()| (kind, payload));
+    (states[0], decoded)
+}
+
+fn check_digest(envelope: &[u8], computed: u64) -> Result<(), EnvelopeError> {
+    let stored = stored_digest(envelope);
     if stored != computed {
         return Err(EnvelopeError::Digest { stored, computed });
     }
-    Ok((kind, payload))
+    Ok(())
 }
 
 /// A deep integrity check for one [`ObjectKind`], applied by scrub (and
@@ -312,6 +336,26 @@ mod tests {
                 decode_envelope(&Bytes::from(copy)).is_err(),
                 "bit {bit} flip must not decode"
             );
+        }
+    }
+
+    #[test]
+    fn fused_digest_agrees_with_fnv64_and_decode_under_every_flip_and_truncation() {
+        let pristine = encode_envelope(ObjectKind::SealedTier, &Bytes::from_static(b"lanes agree"));
+        let check = |data: Bytes| {
+            assert_eq!(
+                digest_and_decode_envelope(&data),
+                (fnv64(&data), decode_envelope(&data)),
+                "{:?}",
+                data
+            );
+        };
+        check(pristine.clone());
+        for at in 0..pristine.len() {
+            let mut bad = pristine.to_vec();
+            bad[at] ^= 0xA5;
+            check(Bytes::from(bad));
+            check(pristine.slice(..at));
         }
     }
 

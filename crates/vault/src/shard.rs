@@ -29,7 +29,7 @@
 //! the shard in a minority generation that reconstruction outvotes.
 
 use bytes::Bytes;
-use daspos_tiers::codec::fnv64;
+use daspos_tiers::codec::{fnv64, fnv64_lanes, fnv64_resume};
 
 /// Shard envelope magic: **D**ASPOS **P**reservation **V**ault **S**hard.
 pub const SHARD_MAGIC: &[u8; 4] = b"DPVS";
@@ -93,38 +93,59 @@ impl std::fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
+/// The header bytes the shard digest covers, in wire order: `index ‖ k ‖
+/// m ‖ object_len ‖ object_digest` (bytes 6..21 of the envelope).
+fn digested_header(header: &ShardHeader) -> [u8; 15] {
+    let mut out = [0u8; 15];
+    out[0] = header.index;
+    out[1] = header.k;
+    out[2] = header.m;
+    out[3..7].copy_from_slice(&header.object_len.to_le_bytes());
+    out[7..15].copy_from_slice(&header.object_digest.to_le_bytes());
+    out
+}
+
 /// The digest a shard envelope stores: fnv64 over the header fields the
 /// stripe depends on, then the payload.
 pub fn shard_digest(header: &ShardHeader, payload: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(15 + payload.len());
-    buf.push(header.index);
-    buf.push(header.k);
-    buf.push(header.m);
-    buf.extend_from_slice(&header.object_len.to_le_bytes());
-    buf.extend_from_slice(&header.object_digest.to_le_bytes());
-    buf.extend_from_slice(payload);
-    fnv64(&buf)
+    fnv64_resume(fnv64(&digested_header(header)), payload)
+}
+
+/// Wrap every shard of a stripe in its `DPVS` envelope, digesting the
+/// payloads in lockstep lanes ([`fnv64_lanes`]). Slot `i` of the result
+/// is byte-identical to `encode_shard(&shards[i].0, shards[i].1)`.
+pub fn encode_stripe(shards: &[(ShardHeader, &[u8])]) -> Vec<Bytes> {
+    let mut digests: Vec<u64> = shards
+        .iter()
+        .map(|(header, _)| fnv64(&digested_header(header)))
+        .collect();
+    let payloads: Vec<&[u8]> = shards.iter().map(|(_, payload)| *payload).collect();
+    fnv64_lanes(&mut digests, &payloads);
+    shards
+        .iter()
+        .zip(digests)
+        .map(|((header, payload), digest)| {
+            let mut out = Vec::with_capacity(SHARD_OVERHEAD + payload.len());
+            out.extend_from_slice(SHARD_MAGIC);
+            out.extend_from_slice(&SHARD_VERSION.to_le_bytes());
+            out.extend_from_slice(&digested_header(header));
+            out.extend_from_slice(&digest.to_le_bytes());
+            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            out.extend_from_slice(payload);
+            Bytes::from(out)
+        })
+        .collect()
 }
 
 /// Wrap one shard in a `DPVS` envelope.
 pub fn encode_shard(header: &ShardHeader, payload: &[u8]) -> Bytes {
-    let mut out = Vec::with_capacity(SHARD_OVERHEAD + payload.len());
-    out.extend_from_slice(SHARD_MAGIC);
-    out.extend_from_slice(&SHARD_VERSION.to_le_bytes());
-    out.push(header.index);
-    out.push(header.k);
-    out.push(header.m);
-    out.extend_from_slice(&header.object_len.to_le_bytes());
-    out.extend_from_slice(&header.object_digest.to_le_bytes());
-    out.extend_from_slice(&shard_digest(header, payload).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    Bytes::from(out)
+    encode_stripe(&[(*header, payload)])
+        .pop()
+        .expect("one shard in, one envelope out")
 }
 
-/// Unwrap a `DPVS` envelope, verifying version, geometry plausibility,
-/// length, and the shard digest. The payload is a zero-copy slice.
-pub fn decode_shard(data: &Bytes) -> Result<(ShardHeader, Bytes), ShardError> {
+/// Every check of [`decode_shard`] except the digest.
+fn parse_shard(data: &Bytes) -> Result<(ShardHeader, Bytes), ShardError> {
     if data.len() < SHARD_OVERHEAD || &data[..4] != SHARD_MAGIC {
         return Err(ShardError::NotAShard);
     }
@@ -143,18 +164,39 @@ pub fn decode_shard(data: &Bytes) -> Result<(ShardHeader, Bytes), ShardError> {
         object_len: u32::from_le_bytes(data[9..13].try_into().expect("4-byte slice")),
         object_digest: u64::from_le_bytes(data[13..21].try_into().expect("8-byte slice")),
     };
-    let stored = u64::from_le_bytes(data[21..29].try_into().expect("8-byte slice"));
     let declared = u32::from_le_bytes(data[29..33].try_into().expect("4-byte slice")) as usize;
     let actual = data.len() - SHARD_OVERHEAD;
     if declared != actual {
         return Err(ShardError::Length { declared, actual });
     }
-    let payload = data.slice(SHARD_OVERHEAD..);
-    let computed = shard_digest(&header, &payload);
-    if stored != computed {
-        return Err(ShardError::Digest { stored, computed });
+    Ok((header, data.slice(SHARD_OVERHEAD..)))
+}
+
+/// Unwrap every `DPVS` envelope of a stripe, each checked exactly as
+/// [`decode_shard`] checks it, with the digests of all well-formed shards
+/// computed in lockstep lanes ([`fnv64_lanes`]). Element `i` of the
+/// result equals `decode_shard(&raws[i])`.
+pub fn decode_stripe(raws: &[Bytes]) -> Vec<Result<(ShardHeader, Bytes), ShardError>> {
+    let mut out: Vec<_> = raws.iter().map(parse_shard).collect();
+    let parsed: Vec<usize> = (0..raws.len()).filter(|&i| out[i].is_ok()).collect();
+    let mut computed: Vec<u64> = parsed.iter().map(|&i| fnv64(&raws[i][6..21])).collect();
+    let payloads: Vec<&[u8]> = parsed.iter().map(|&i| &raws[i][SHARD_OVERHEAD..]).collect();
+    fnv64_lanes(&mut computed, &payloads);
+    for (i, computed) in parsed.into_iter().zip(computed) {
+        let stored = u64::from_le_bytes(raws[i][21..29].try_into().expect("8-byte slice"));
+        if stored != computed {
+            out[i] = Err(ShardError::Digest { stored, computed });
+        }
     }
-    Ok((header, payload))
+    out
+}
+
+/// Unwrap a `DPVS` envelope, verifying version, geometry plausibility,
+/// length, and the shard digest. The payload is a zero-copy slice.
+pub fn decode_shard(data: &Bytes) -> Result<(ShardHeader, Bytes), ShardError> {
+    decode_stripe(std::slice::from_ref(data))
+        .pop()
+        .expect("one shard in, one result out")
 }
 
 #[cfg(test)]
@@ -230,6 +272,67 @@ mod tests {
                 matches!(decode_shard(&enc), Err(ShardError::Geometry { .. })),
                 "index {index} of {k}+{m} must be rejected"
             );
+        }
+    }
+
+    /// A 4+2 stripe whose six slots carry payloads of the given lengths.
+    fn stripe(lens: [usize; 6]) -> Vec<(ShardHeader, Vec<u8>)> {
+        lens.iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                let h = ShardHeader {
+                    index: i as u8,
+                    k: 4,
+                    m: 2,
+                    ..header()
+                };
+                let payload = (0..len).map(|b| (b * 37 + i * 11) as u8).collect();
+                (h, payload)
+            })
+            .collect()
+    }
+
+    fn encode_all(shards: &[(ShardHeader, Vec<u8>)]) -> Vec<Bytes> {
+        let views: Vec<(ShardHeader, &[u8])> =
+            shards.iter().map(|(h, p)| (*h, p.as_slice())).collect();
+        encode_stripe(&views)
+    }
+
+    #[test]
+    fn encode_stripe_matches_encode_shard_slot_by_slot() {
+        for lens in [[24; 6], [0, 5, 24, 31, 7, 24], [0; 6]] {
+            let shards = stripe(lens);
+            let encoded = encode_all(&shards);
+            assert_eq!(encoded.len(), shards.len());
+            for ((h, p), enc) in shards.iter().zip(&encoded) {
+                assert_eq!(enc, &encode_shard(h, p), "slot {} of {lens:?}", h.index);
+            }
+        }
+    }
+
+    #[test]
+    fn decode_stripe_agrees_with_decode_shard_under_every_flip_and_truncation() {
+        for lens in [[24; 6], [0, 5, 24, 31, 7, 24]] {
+            let pristine = encode_all(&stripe(lens));
+            let check = |raws: &[Bytes], what: &str| {
+                let one_by_one: Vec<_> = raws.iter().map(decode_shard).collect();
+                assert_eq!(decode_stripe(raws), one_by_one, "{what} of {lens:?}");
+            };
+            check(&pristine, "pristine stripe");
+            for slot in 0..pristine.len() {
+                for at in 0..pristine[slot].len() {
+                    let mut raws = pristine.clone();
+                    let mut bad = raws[slot].to_vec();
+                    bad[at] ^= 0xA5;
+                    raws[slot] = Bytes::from(bad);
+                    check(&raws, &format!("slot {slot} byte {at} flipped"));
+                }
+                for cut in 0..pristine[slot].len() {
+                    let mut raws = pristine.clone();
+                    raws[slot] = pristine[slot].slice(..cut);
+                    check(&raws, &format!("slot {slot} truncated to {cut}"));
+                }
+            }
         }
     }
 

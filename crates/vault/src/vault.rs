@@ -22,20 +22,22 @@
 //! 1. **classify** each slot as missing, corrupt (unreadable, a copy
 //!    failing its envelope digest, or a shard failing its digest or
 //!    geometry check), or healthy in a write *generation* `(object_len,
-//!    object_digest)`;
+//!    object_digest)`. All slots are read first and classified as one
+//!    batch, so a stripe's shard digests run in parallel FNV lanes;
 //! 2. **vote**: the generation backed by the most healthy slots wins,
 //!    deterministically tie-broken;
 //! 3. **reconstruct** the winner and verify it once end to end (object
-//!    digest, envelope, deep [`Verifier`] for its kind). A winner that
-//!    fails is disqualified and the next generation gets its turn; a
-//!    winner with fewer than `k` slots is reported loudly as
-//!    [`VaultError::Unrecoverable`] — the vault never fabricates bytes;
+//!    digest and envelope digest in one two-lane pass, then the deep
+//!    [`Verifier`] for its kind). A winner that fails is disqualified
+//!    and the next generation gets its turn; a winner with fewer than
+//!    `k` slots is reported loudly as [`VaultError::Unrecoverable`] —
+//!    the vault never fabricates bytes;
 //! 4. **repair** the slots that disagree with the verified generation,
-//!    encoding the object into slots only when some slot needs
-//!    rewriting. `get` heals only slots it found damaged — corrupt ones,
-//!    and those of a generation that failed verification — because a
-//!    digest-valid copy it outvoted may be a concurrent `put` it half
-//!    saw. Scrub rewrites every other slot, outvoted and missing ones
+//!    encoding only those slots, stamped with the verified generation
+//!    rather than re-hashing the object. `get` heals only slots it
+//!    found damaged — corrupt ones, and those of a generation that
+//!    failed verification — because a digest-valid copy it outvoted may
+//!    be a concurrent `put` it half saw. Scrub rewrites every other slot, outvoted and missing ones
 //!    included, so it must not race writes to the same key (the serve
 //!    layer's scrubber gives way to any foreground request).
 //!
@@ -62,11 +64,11 @@ use daspos_tiers::codec::fnv64;
 use crate::backend::{StorageBackend, StorageError};
 use crate::erasure::Erasure;
 use crate::object::{
-    decode_envelope, encode_envelope, stored_digest, ColumnarVerifier, ConditionsVerifier,
-    ObjectKind, SealedTierVerifier, Verifier,
+    decode_envelope, digest_and_decode_envelope, encode_envelope, parse_envelope, stored_digest,
+    ColumnarVerifier, ConditionsVerifier, ObjectKind, SealedTierVerifier, Verifier,
 };
 use crate::policy::RetryPolicy;
-use crate::shard::{decode_shard, encode_shard, ShardHeader};
+use crate::shard::{decode_stripe, encode_shard, encode_stripe, ShardHeader};
 
 /// A vault-level failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -296,12 +298,41 @@ enum Slot {
     Missing,
 }
 
+impl Slot {
+    /// The slot of a read that failed.
+    fn unread(e: StorageError) -> Slot {
+        match e {
+            StorageError::NotFound(_) => Slot::Missing,
+            e => Slot::Corrupt(format!("unreadable: {e}")),
+        }
+    }
+}
+
+/// A generation's object, reassembled and checked: the `DPVO` envelope
+/// and the kind and payload it wraps.
+struct Object {
+    envelope: Bytes,
+    kind: ObjectKind,
+    payload: Bytes,
+}
+
 /// The slot codec — the only place the redundancy mode matters.
 enum SlotCodec {
     /// [`Redundancy::Replicas`]: `n` slots, each a plain `DPVO` copy.
     Copies(usize),
     /// [`Redundancy::Erasure`]: `k + m` slots, each one `DPVS` shard.
     Shards(Erasure),
+}
+
+/// The `DPVS` header of slot `index` of generation `gen` under `ec`.
+fn shard_header(ec: &Erasure, gen: Generation, index: usize) -> ShardHeader {
+    ShardHeader {
+        index: index as u8,
+        k: ec.k() as u8,
+        m: ec.m() as u8,
+        object_len: gen.0,
+        object_digest: gen.1,
+    }
 }
 
 impl SlotCodec {
@@ -327,110 +358,153 @@ impl SlotCodec {
         matches!(self, SlotCodec::Shards(_))
     }
 
-    /// Encode one `DPVO` envelope into its slots. Deterministic:
+    /// Encode one `DPVO` envelope into all its slots. Deterministic:
     /// re-encoding the same envelope yields byte-identical slots, which
     /// is what makes repair byte-identical too.
     fn encode(&self, envelope: &Bytes) -> Vec<Bytes> {
         match self {
             SlotCodec::Copies(n) => vec![envelope.clone(); *n],
             SlotCodec::Shards(ec) => {
-                let object_digest = fnv64(envelope);
-                ec.encode(envelope)
+                let gen = (envelope.len() as u32, fnv64(envelope));
+                let payloads = ec.encode(envelope);
+                let shards: Vec<(ShardHeader, &[u8])> = payloads
+                    .iter()
+                    .enumerate()
+                    .map(|(i, payload)| (shard_header(ec, gen, i), payload.as_slice()))
+                    .collect();
+                encode_stripe(&shards)
+            }
+        }
+    }
+
+    /// Slot `index` of the verified `envelope` of generation `gen`,
+    /// byte-identical to `encode(envelope)[index]`: the generation was
+    /// checked against the envelope, so it is stamped rather than
+    /// re-hashed, and no other slot is encoded.
+    fn encode_slot(&self, envelope: &Bytes, gen: Generation, index: usize) -> Bytes {
+        match self {
+            SlotCodec::Copies(_) => envelope.clone(),
+            SlotCodec::Shards(ec) => encode_shard(
+                &shard_header(ec, gen, index),
+                &ec.encode_one(envelope, index),
+            ),
+        }
+    }
+
+    /// Classify the reads of one stripe, slot by slot. A copy must pass
+    /// its envelope digest, which is then its generation; a copy
+    /// identical to an earlier healthy one joins that one's generation
+    /// unhashed. A shard must pass its digest — the whole stripe's
+    /// digests run in lanes — and its geometry is cross-checked against
+    /// the vault's and its index against the slot it was read from,
+    /// which is what catches geometry tampering even when the shard
+    /// digest was recomputed.
+    fn classify(&self, reads: Vec<Result<Bytes, StorageError>>) -> Vec<Slot> {
+        match self {
+            SlotCodec::Copies(_) => {
+                let mut slots: Vec<Slot> = Vec::with_capacity(reads.len());
+                for read in reads {
+                    let slot = match read {
+                        Ok(raw) => {
+                            let same = slots.iter().find_map(|s| match s {
+                                Slot::Healthy { gen, payload } if *payload == raw => Some(*gen),
+                                _ => None,
+                            });
+                            let gen = match same {
+                                Some(gen) => Ok(gen),
+                                None => decode_envelope(&raw)
+                                    .map(|_| (raw.len() as u32, stored_digest(&raw))),
+                            };
+                            match gen {
+                                Ok(gen) => Slot::Healthy { gen, payload: raw },
+                                Err(e) => Slot::Corrupt(e.to_string()),
+                            }
+                        }
+                        Err(e) => Slot::unread(e),
+                    };
+                    slots.push(slot);
+                }
+                slots
+            }
+            SlotCodec::Shards(ec) => {
+                let present: Vec<Bytes> = reads
+                    .iter()
+                    .filter_map(|r| r.as_ref().ok().cloned())
+                    .collect();
+                let mut decoded = decode_stripe(&present).into_iter();
+                reads
                     .into_iter()
                     .enumerate()
-                    .map(|(i, payload)| {
-                        encode_shard(
-                            &ShardHeader {
-                                index: i as u8,
-                                k: ec.k() as u8,
-                                m: ec.m() as u8,
-                                object_len: envelope.len() as u32,
-                                object_digest,
+                    .map(|(index, read)| match read {
+                        Ok(_) => match decoded.next().expect("one decode per present shard") {
+                            Ok((header, _))
+                                if header.k as usize != ec.k()
+                                    || header.m as usize != ec.m()
+                                    || header.index as usize != index =>
+                            {
+                                Slot::Corrupt(format!(
+                                    "shard geometry mismatch: header claims shard {} of {}+{}, slot expects {} of {}+{}",
+                                    header.index,
+                                    header.k,
+                                    header.m,
+                                    index,
+                                    ec.k(),
+                                    ec.m()
+                                ))
+                            }
+                            Ok((header, payload)) => Slot::Healthy {
+                                gen: (header.object_len, header.object_digest),
+                                payload,
                             },
-                            &payload,
-                        )
+                            Err(e) => Slot::Corrupt(e.to_string()),
+                        },
+                        Err(e) => Slot::unread(e),
                     })
                     .collect()
             }
         }
     }
 
-    /// Classify the bytes read from slot `index`, given the slots read
-    /// before it. A copy must pass its envelope digest, which is then its
-    /// generation; a copy identical to an earlier healthy one joins that
-    /// one's generation unhashed. A shard must pass its digest, and its
-    /// geometry is cross-checked
-    /// against the vault's and its index against the slot it was read
-    /// from — which is what catches geometry tampering even when the
-    /// shard digest was recomputed.
-    fn decode(&self, index: usize, raw: Bytes, earlier: &[Slot]) -> Slot {
-        match self {
-            SlotCodec::Copies(_) => {
-                let same = earlier.iter().find_map(|s| match s {
-                    Slot::Healthy { gen, payload } if *payload == raw => Some(*gen),
-                    _ => None,
-                });
-                let gen = match same {
-                    Some(gen) => gen,
-                    None => match decode_envelope(&raw) {
-                        Ok(_) => (raw.len() as u32, stored_digest(&raw)),
-                        Err(e) => return Slot::Corrupt(e.to_string()),
-                    },
-                };
-                Slot::Healthy { gen, payload: raw }
-            }
-            SlotCodec::Shards(ec) => {
-                let (header, payload) = match decode_shard(&raw) {
-                    Ok(parts) => parts,
-                    Err(e) => return Slot::Corrupt(e.to_string()),
-                };
-                if header.k as usize != ec.k()
-                    || header.m as usize != ec.m()
-                    || header.index as usize != index
-                {
-                    return Slot::Corrupt(format!(
-                        "shard geometry mismatch: header claims shard {} of {}+{}, slot expects {} of {}+{}",
-                        header.index,
-                        header.k,
-                        header.m,
-                        index,
-                        ec.k(),
-                        ec.m()
-                    ));
-                }
-                Slot::Healthy {
-                    gen: (header.object_len, header.object_digest),
-                    payload,
-                }
-            }
-        }
-    }
-
-    /// Reassemble generation `gen`'s envelope from its healthy slots;
-    /// a decoded stripe must match the generation's object digest. The
-    /// pipeline verifies the envelope itself.
-    fn reconstruct(&self, slots: &[Slot], gen: Generation) -> Result<Bytes, String> {
+    /// Reassemble generation `gen`'s object from its healthy slots. A
+    /// decoded stripe must match the generation's object digest and pass
+    /// its own envelope digest, both checked in one two-lane pass. A
+    /// copy was digest-checked when it was classified (or is identical
+    /// to one that was), so only its header is parsed. The pipeline
+    /// runs the deep verifier.
+    fn reconstruct(&self, slots: &[Slot], gen: Generation) -> Result<Object, String> {
         let members = slots.iter().map(|s| match s {
             Slot::Healthy { gen: g, payload } if *g == gen => Some(payload),
             _ => None,
         });
-        match self {
-            SlotCodec::Copies(_) => Ok(members
-                .flatten()
-                .next()
-                .expect("the vote counted a copy of this generation")
-                .clone()),
+        let (envelope, decoded) = match self {
+            SlotCodec::Copies(_) => {
+                let copy = members
+                    .flatten()
+                    .next()
+                    .expect("the vote counted a copy of this generation")
+                    .clone();
+                let decoded = parse_envelope(&copy);
+                (copy, decoded)
+            }
             SlotCodec::Shards(ec) => {
                 let shards: Vec<Option<&[u8]>> = members.map(|p| p.map(Bytes::as_ref)).collect();
-                let envelope = ec
-                    .decode(&shards, gen.0 as usize)
-                    .map_err(|e| e.to_string())?;
-                if fnv64(&envelope) != gen.1 {
+                let envelope = Bytes::from(
+                    ec.decode(&shards, gen.0 as usize)
+                        .map_err(|e| e.to_string())?,
+                );
+                let (object_digest, decoded) = digest_and_decode_envelope(&envelope);
+                if object_digest != gen.1 {
                     return Err("reconstructed object digest mismatch".to_string());
                 }
-                Ok(Bytes::from(envelope))
+                (envelope, decoded)
             }
-        }
+        };
+        let (kind, payload) = decoded.map_err(|e| format!("object envelope: {e}"))?;
+        Ok(Object {
+            envelope,
+            kind,
+            payload,
+        })
     }
 }
 
@@ -453,11 +527,11 @@ fn stripe_winner(slots: &[Slot], disqualified: &[Generation]) -> Option<(Generat
 enum Verdict {
     /// No slot holds the key.
     Absent,
-    /// `gen` reconstructed to `envelope`, which passed end-to-end
+    /// `gen` reconstructed to `object`, which passed end-to-end
     /// verification after the generations in `disqualified` failed it.
     Verified {
         gen: Generation,
-        envelope: Bytes,
+        object: Object,
         disqualified: Vec<Generation>,
     },
     /// The best generation holds only `have < k` healthy slots.
@@ -681,24 +755,19 @@ impl Vault {
         }
     }
 
-    /// Classify: read and decode every slot of `key`'s stripe,
-    /// consulting `keep_going` before each read. `None` once it
-    /// declines.
+    /// Classify: read every slot of `key`'s stripe, consulting
+    /// `keep_going` before each read, then classify the stripe as one
+    /// batch. `None` once `keep_going` declines.
     fn read_slots(&self, key: &str, keep_going: &dyn Fn() -> bool) -> Option<Vec<Slot>> {
-        let mut slots = Vec::with_capacity(self.codec.slots());
+        let mut reads = Vec::with_capacity(self.codec.slots());
         for i in 0..self.codec.slots() {
             if !keep_going() {
                 return None;
             }
             let backend = &self.backends[self.slot_backend(key, i)];
-            let slot = match self.with_retry(|| backend.get(key)) {
-                Ok(raw) => self.codec.decode(i, raw, &slots),
-                Err(StorageError::NotFound(_)) => Slot::Missing,
-                Err(e) => Slot::Corrupt(format!("unreadable: {e}")),
-            };
-            slots.push(slot);
+            reads.push(self.with_retry(|| backend.get(key)));
         }
-        Some(slots)
+        Some(self.codec.classify(reads))
     }
 
     /// Vote and verify: walk the generations in vote order until one
@@ -715,10 +784,10 @@ impl Vault {
                 };
             }
             match self.verified(slots, gen) {
-                Ok(envelope) => {
+                Ok(object) => {
                     return Verdict::Verified {
                         gen,
-                        envelope,
+                        object,
                         disqualified,
                     }
                 }
@@ -738,40 +807,35 @@ impl Vault {
     }
 
     /// Reconstruct generation `gen` and verify it end to end (object
-    /// digest, envelope decode, deep verifier) before anyone trusts the
+    /// digest, envelope digest, deep verifier) before anyone trusts the
     /// bytes.
-    fn verified(&self, slots: &[Slot], gen: Generation) -> Result<Bytes, String> {
-        let envelope = self.codec.reconstruct(slots, gen)?;
-        let (kind, payload) =
-            decode_envelope(&envelope).map_err(|e| format!("object envelope: {e}"))?;
-        if let Some(verifier) = self.verifiers.get(&kind) {
+    fn verified(&self, slots: &[Slot], gen: Generation) -> Result<Object, String> {
+        let object = self.codec.reconstruct(slots, gen)?;
+        if let Some(verifier) = self.verifiers.get(&object.kind) {
             verifier
-                .verify(&payload)
+                .verify(&object.payload)
                 .map_err(|reason| format!("deep verification: {reason}"))?;
         }
-        Ok(envelope)
+        Ok(object)
     }
 
-    /// Rewrite the slots of `key` that `stale` selects from the verified
-    /// `envelope`. The envelope is encoded into slots only when some
-    /// slot needs rewriting. Returns the rewritten slot indices.
+    /// Rewrite the slots of `key` that `stale` selects, each encoded
+    /// alone from the verified `envelope` of generation `gen`. Returns
+    /// the rewritten slot indices.
     fn repair(
         &self,
         key: &str,
         slots: &[Slot],
         envelope: &Bytes,
+        gen: Generation,
         stale: impl Fn(&Slot) -> bool,
     ) -> Vec<usize> {
-        let stale: Vec<usize> = (0..slots.len()).filter(|&i| stale(&slots[i])).collect();
-        if stale.is_empty() {
-            return stale;
-        }
-        let encoded = self.codec.encode(envelope);
-        stale
-            .into_iter()
+        (0..slots.len())
+            .filter(|&i| stale(&slots[i]))
             .filter(|&i| {
+                let slot = self.codec.encode_slot(envelope, gen, i);
                 let backend = &self.backends[self.slot_backend(key, i)];
-                self.with_retry(|| backend.put(key, &encoded[i])).is_ok()
+                self.with_retry(|| backend.put(key, &slot)).is_ok()
             })
             .collect()
     }
@@ -789,16 +853,16 @@ impl Vault {
             .expect("an unconditional read never gives way");
         match self.elect(&slots) {
             Verdict::Verified {
-                envelope,
+                gen,
+                object,
                 disqualified,
-                ..
             } => {
-                self.repair(key, &slots, &envelope, |slot| match slot {
+                self.repair(key, &slots, &object.envelope, gen, |slot| match slot {
                     Slot::Healthy { gen, .. } => disqualified.contains(gen),
                     Slot::Corrupt(_) => true,
                     Slot::Missing => false,
                 });
-                Ok(decode_envelope(&envelope).expect("elect verified the envelope"))
+                Ok((object.kind, object.payload))
             }
             Verdict::Absent => Err(VaultError::NotFound(key.to_string())),
             Verdict::Short { have, .. } => Err(VaultError::Unrecoverable {
@@ -878,11 +942,12 @@ impl Vault {
         let mut rebuilt_here = 0u64;
         let recovered = matches!(verdict, Verdict::Verified { .. });
         match verdict {
-            Verdict::Verified { gen, envelope, .. } if repair => {
+            Verdict::Verified { gen, object, .. } if repair => {
                 let rewritten = self.repair(
                     key,
                     &slots,
-                    &envelope,
+                    &object.envelope,
+                    gen,
                     |slot| !matches!(slot, Slot::Healthy { gen: g, .. } if *g == gen),
                 );
                 repaired_here = rewritten.len() as u64;

@@ -41,8 +41,9 @@
 //! assert!(report.reproduced);
 //! ```
 
+#[cfg(feature = "bench-alloc")]
+pub mod alloc_counter;
 pub mod archive;
-pub mod bench;
 pub mod error;
 pub mod faultlab;
 pub mod levels;

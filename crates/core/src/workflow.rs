@@ -468,7 +468,7 @@ impl PreservedWorkflow {
             .record(
                 StepBuilder::new(
                     StepKind::Reconstruction,
-                    format!("{} threads={threads}", reco.describe()),
+                    reco.describe(),
                     ctx.software.clone(),
                 )
                 .conditions(&self.conditions_tag)

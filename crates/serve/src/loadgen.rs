@@ -10,9 +10,7 @@
 //! campaign even when every frame seal checks out. `Overloaded`
 //! responses are retried with backoff and counted, never dropped.
 //!
-//! The report carries per-op p50/p99 latencies and aggregate throughput;
-//! the bench trajectory (`serve_put`/`serve_get`/`serve_mixed`) is
-//! measured through the same client machinery.
+//! The report carries per-op p50/p99 latencies and aggregate throughput.
 
 use std::time::{Duration, Instant};
 
@@ -163,9 +161,7 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 impl OpStats {
-    /// Summarize raw per-op latencies (the bench trajectory feeds its
-    /// own measured loops through this, so percentiles are computed one
-    /// way everywhere).
+    /// Summarize raw per-op latencies.
     pub fn from_latencies(mut ns: Vec<u64>) -> OpStats {
         ns.sort_unstable();
         OpStats {

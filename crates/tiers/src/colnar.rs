@@ -519,105 +519,26 @@ impl ColumnarFile {
     /// Panics if the row count exceeds the u32 field — truncating the
     /// count would archive a lie, same policy as the row codec.
     pub fn from_rows(events: &[AodEvent]) -> Bytes {
-        let (n_rows, cols) = build_raw_columns(events);
-        let mut frames: [BytesMut; N_COLUMNS] = Default::default();
-        for (i, id) in ColumnId::ALL.iter().enumerate() {
-            frames[i] = encode_column(*id, &cols[i], events.len());
-        }
-        assemble_file(COLUMNAR_VERSION, n_rows, &frames)
+        encode_columnar_parallel(events, 1)
     }
 
     /// Encode AOD events as a version-1 file (raw frames throughout).
     /// Kept for backward-compat coverage and the v1-vs-v2 size
-    /// comparison the bench reports; new files come from
-    /// [`ColumnarFile::from_rows`].
+    /// comparison; new files come from [`ColumnarFile::from_rows`].
     pub fn from_rows_v1(events: &[AodEvent]) -> Bytes {
-        let (n_rows, cols) = build_raw_columns(events);
-        assemble_file(COLUMNAR_VERSION_V1, n_rows, &cols)
+        let cols = ColumnId::ALL.map(|id| build_raw_column(id, events));
+        assemble_file(COLUMNAR_VERSION_V1, row_count(events), &cols)
     }
 }
 
-/// Lay `events` out as the ten raw column payloads in one pass.
-fn build_raw_columns(events: &[AodEvent]) -> (u32, [BytesMut; N_COLUMNS]) {
-    let n_rows = u32::try_from(events.len()).unwrap_or_else(|_| {
+/// The DPCF row-count field for `events`; panics past u32.
+fn row_count(events: &[AodEvent]) -> u32 {
+    u32::try_from(events.len()).unwrap_or_else(|_| {
         panic!(
             "event count {} exceeds the u32 DPCF row field",
             events.len()
         )
-    });
-    let mut cols: [BytesMut; N_COLUMNS] = Default::default();
-    for ev in events {
-        let c = &mut cols;
-        c[ColumnId::Header as usize].put_u32_le(ev.header.run.0);
-        c[ColumnId::Header as usize].put_u32_le(ev.header.lumi_block.0);
-        c[ColumnId::Header as usize].put_u64_le(ev.header.event.0);
-
-        let ep4 = &mut c[ColumnId::ElectronP4 as usize];
-        ep4.put_u32_le(ev.electrons.len() as u32);
-        for e in &ev.electrons {
-            put_p4(ep4, &e.momentum);
-        }
-        let eid = &mut c[ColumnId::ElectronId as usize];
-        eid.put_u32_le(ev.electrons.len() as u32);
-        for e in &ev.electrons {
-            eid.put_i8(e.charge);
-            eid.put_f64_le(e.e_over_p);
-            eid.put_f64_le(e.isolation);
-        }
-
-        let mp4 = &mut c[ColumnId::MuonP4 as usize];
-        mp4.put_u32_le(ev.muons.len() as u32);
-        for m in &ev.muons {
-            put_p4(mp4, &m.momentum);
-        }
-        let mid = &mut c[ColumnId::MuonId as usize];
-        mid.put_u32_le(ev.muons.len() as u32);
-        for m in &ev.muons {
-            mid.put_i8(m.charge);
-            mid.put_u8(m.n_stations);
-            mid.put_f64_le(m.isolation);
-        }
-
-        let ph = &mut c[ColumnId::Photon as usize];
-        ph.put_u32_le(ev.photons.len() as u32);
-        for p in &ev.photons {
-            put_p4(ph, &p.momentum);
-            ph.put_f64_le(p.isolation);
-        }
-
-        let jp4 = &mut c[ColumnId::JetP4 as usize];
-        jp4.put_u32_le(ev.jets.len() as u32);
-        for j in &ev.jets {
-            put_p4(jp4, &j.momentum);
-        }
-        let jid = &mut c[ColumnId::JetId as usize];
-        jid.put_u32_le(ev.jets.len() as u32);
-        for j in &ev.jets {
-            jid.put_u32_le(j.n_constituents);
-            jid.put_f64_le(j.em_fraction);
-        }
-
-        let cand = &mut c[ColumnId::Candidate as usize];
-        cand.put_u32_le(ev.candidates.len() as u32);
-        for t in &ev.candidates {
-            put_p4(cand, &t.vertex);
-            cand.put_f64_le(t.flight_xy);
-            cand.put_f64_le(t.pt);
-            cand.put_f64_le(t.eta);
-            cand.put_f64_le(t.mass_pipi);
-            cand.put_f64_le(t.mass_ppi);
-            cand.put_f64_le(t.mass_kpi);
-            cand.put_f64_le(t.proper_time_d0_ns);
-            cand.put_u32_le(t.track_indices.0);
-            cand.put_u32_le(t.track_indices.1);
-        }
-
-        let s = &mut c[ColumnId::Scalars as usize];
-        s.put_f64_le(ev.met.mex);
-        s.put_f64_le(ev.met.mey);
-        s.put_u32_le(ev.n_tracks);
-    }
-    (n_rows, cols)
+    })
 }
 
 #[inline]
@@ -1452,58 +1373,16 @@ fn cross_check_counts(
     Ok(())
 }
 
-// --- Worker-pool parallel encode / decode -----------------------------------
-
-/// Decode a columnar file back into AOD events with the ten column
-/// frames verified + decoded on the worker pool, then the row
-/// materialization fanned over row ranges. Column frames are
-/// independent by construction (each is separately digested and
-/// self-contained), so this parallelism cannot change the result: any
-/// thread count returns exactly what [`ColumnarFile::to_rows`] returns
-/// (the 1/2/4-thread byte-equality is proven through the row codec in
-/// tests). `threads <= 1` spawns nothing.
-pub fn decode_columns_parallel(file: &Bytes, threads: usize) -> Result<Vec<AodEvent>, CodecError> {
-    let cf = ColumnarFile::parse(file)?;
-    let opened: Vec<Result<ColumnReader, CodecError>> =
-        crate::par::map_chunks(&ColumnId::ALL, threads, |ids| {
-            ids.iter().map(|&id| cf.column(id)).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    let mut readers: [Option<ColumnReader>; N_COLUMNS] = Default::default();
-    for r in opened {
-        let r = r?;
-        let slot = r.id() as usize;
-        readers[slot] = Some(r);
-    }
-    let readers = readers.map(|r| r.expect("all columns opened"));
-    cross_check_counts(&readers, cf.n_rows)?;
-
-    let rows: Vec<u32> = (0..cf.n_rows as u32).collect();
-    let slim = SlimSpec::keep_all();
-    let chunks = crate::par::map_chunks(&rows, threads, |chunk| {
-        chunk
-            .iter()
-            .map(|&row| decode_row(&readers, row as usize, &slim))
-            .collect::<Vec<_>>()
-    });
-    Ok(chunks.into_iter().flatten().collect())
-}
+// --- Worker-pool parallel encode --------------------------------------------
 
 /// Encode AOD events into a columnar file with the ten column builds
 /// and frame encodes fanned over the worker pool. Each worker lays out
-/// and encodes whole columns, so the in-order merge concatenates
-/// exactly the frames the sequential writer produces: byte-identical
-/// to [`ColumnarFile::from_rows`] at any thread count.
+/// and encodes whole columns and the merge keeps column order, so the
+/// bytes are the same at any thread count; `threads <= 1` is
+/// [`ColumnarFile::from_rows`].
 pub fn encode_columnar_parallel(events: &[AodEvent], threads: usize) -> Bytes {
-    let n_rows = u32::try_from(events.len()).unwrap_or_else(|_| {
-        panic!(
-            "event count {} exceeds the u32 DPCF row field",
-            events.len()
-        )
-    });
-    let frames_vec: Vec<BytesMut> = crate::par::map_chunks(&ColumnId::ALL, threads, |ids| {
+    let n_rows = row_count(events);
+    let frames: Vec<BytesMut> = crate::par::map_chunks(&ColumnId::ALL, threads, |ids| {
         ids.iter()
             .map(|&id| {
                 let raw = build_raw_column(id, events);
@@ -1514,16 +1393,12 @@ pub fn encode_columnar_parallel(events: &[AodEvent], threads: usize) -> Bytes {
     .into_iter()
     .flatten()
     .collect();
-    let mut frames: [BytesMut; N_COLUMNS] = Default::default();
-    for (i, f) in frames_vec.into_iter().enumerate() {
-        frames[i] = f;
-    }
+    let frames: [BytesMut; N_COLUMNS] = frames.try_into().expect("one frame per column");
     assemble_file(COLUMNAR_VERSION, n_rows, &frames)
 }
 
-/// Lay out one raw column for `events` — the per-column worker of the
-/// parallel encoder, column-for-column identical to the single-pass
-/// [`build_raw_columns`].
+/// Lay out one raw column for `events` — the per-column worker of every
+/// columnar writer, sequential or parallel.
 fn build_raw_column(id: ColumnId, events: &[AodEvent]) -> BytesMut {
     let mut col = BytesMut::new();
     match id {
@@ -2725,31 +2600,46 @@ mod tests {
     }
 
     #[test]
-    fn parallel_decode_and_encode_are_byte_identical_at_1_2_4_threads() {
+    fn parallel_encode_is_byte_identical_at_1_2_4_threads() {
         let events = sample_events(50);
         let file = ColumnarFile::from_rows(&events);
-        let sequential = ColumnarFile::parse(&file).unwrap().to_rows().unwrap();
-        let sequential_bytes = AodEvent::encode_events(&sequential);
         for threads in [1usize, 2, 4] {
-            let rows = decode_columns_parallel(&file, threads).expect("parallel decode");
-            assert_eq!(rows, sequential, "{threads} threads");
-            assert_eq!(
-                AodEvent::encode_events(&rows),
-                sequential_bytes,
-                "{threads}-thread decode must be byte-identical to sequential"
-            );
             assert_eq!(
                 encode_columnar_parallel(&events, threads),
                 file,
                 "{threads}-thread encode must be byte-identical to sequential"
             );
         }
-        // Parallel decode surfaces corruption exactly like sequential.
-        let mut bad = file.to_vec();
-        let pos = file.len() - 3;
-        bad[pos] ^= 0xFF;
-        let bad = Bytes::from(bad);
-        let seq_err = ColumnarFile::parse(&bad).and_then(|f| f.to_rows()).is_err();
-        assert_eq!(decode_columns_parallel(&bad, 4).is_err(), seq_err);
+    }
+
+    /// `(events, v2 len, v2 fnv64, v1 len, v1 fnv64)` of `from_rows` and
+    /// `from_rows_v1` over `sample_events(events)`, recorded from the
+    /// writer before both versions moved onto the per-column layout.
+    const GOLDEN_FILES: [(usize, usize, u64, usize, u64); 5] = [
+        (0, 192, 0x28476e71586dd950, 182, 0xf2f731f2cfc48d22),
+        (1, 278, 0x27f7d9aa5e67db78, 292, 0x4c5d6862b835fd6f),
+        (7, 1879, 0x16fe9e0f5e1f958e, 2348, 0x23dd93bb839653a4),
+        (50, 12517, 0xe365ae471191e1fd, 16933, 0x1315c1dbee85d1b2),
+        (301, 73648, 0x99c9245f32a008c2, 101092, 0x8c54582fef16d1d8),
+    ];
+
+    #[test]
+    fn v1_and_v2_bytes_match_the_recorded_golden_digests() {
+        use crate::codec::fnv64;
+        for (n, v2_len, v2_digest, v1_len, v1_digest) in GOLDEN_FILES {
+            let events = sample_events(n);
+            let v2 = ColumnarFile::from_rows(&events);
+            let v1 = ColumnarFile::from_rows_v1(&events);
+            assert_eq!(
+                (v2.len(), fnv64(&v2)),
+                (v2_len, v2_digest),
+                "v2, {n} events"
+            );
+            assert_eq!(
+                (v1.len(), fnv64(&v1)),
+                (v1_len, v1_digest),
+                "v1, {n} events"
+            );
+        }
     }
 }

@@ -31,8 +31,7 @@ pub mod tier;
 
 pub use codec::{CodecError, FORMAT_VERSION};
 pub use colnar::{
-    decode_columns_parallel, encode_columnar_parallel, skim_slim_columnar, skim_slim_columnar_with,
-    ColumnarFile, TierFormat,
+    encode_columnar_parallel, skim_slim_columnar, skim_slim_columnar_with, ColumnarFile, TierFormat,
 };
 pub use dataset::{Dataset, DatasetCatalog, DatasetMeta};
 pub use ntuple::{ColumnSpec, Ntuple, NtupleSchema};

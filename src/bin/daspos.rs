@@ -24,13 +24,6 @@ use daspos::prelude::*;
 use daspos::usecases;
 use daspos_hep::event::ProcessKind;
 
-/// With `--features bench-alloc` every allocation in the binary goes
-/// through the counting wrapper, so `daspos bench` can report peak bytes.
-#[cfg(feature = "bench-alloc")]
-#[global_allocator]
-static ALLOC: daspos::bench::alloc_counter::CountingAlloc =
-    daspos::bench::alloc_counter::CountingAlloc;
-
 /// A CLI failure, split by exit code: operational failures (validation
 /// mismatch, integrity damage, campaign violations, I/O) exit 1; usage
 /// errors (bad flags, unknown names) exit 2.
@@ -81,7 +74,6 @@ fn main() -> ExitCode {
         Some("vault") => cmd_vault(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("loadgen") => cmd_loadgen(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("maturity") => cmd_maturity(),
         Some("help") | Some("--help") | None => {
             print_usage();
@@ -203,21 +195,6 @@ USAGE:
         report their own sput/sget p50/p99 lines; prints latencies and
         throughput, exits 1 on any verification failure; --shutdown stops
         the server afterwards
-  daspos bench    [--events N] [--reps N] [--threads N] [--seed N]
-                  [--metrics a,b,…] [--out <file.json>] [--allow-regression]
-        time decode / seal-verify / skim (batch, streaming and columnar),
-        parallel columnar decode, v1/v2 columnar encode, the full chain,
-        vault put/get/scrub, erasure put/get/rebuild (4+2 vs 3-replica
-        bytes-on-backend), and the serve protocol's put/get/mixed plus
-        chunked stream_put/stream_get p50+p99 latencies over a fixture
-        workflow; --metrics runs only metrics whose names contain one of
-        the given substrings (e.g. --metrics columnar skips the vault
-        and serve fixtures); writes a
-        JSON report (default BENCH_10.json) and exits 2 if any metric
-        regressed >25% in time or bytes/event versus the previous
-        BENCH_*.json unless --allow-regression is passed (the bench-alloc
-        counting allocator is on by default, so peak-allocation figures
-        are reported)
   daspos table1
         print the Table 1 outreach feature matrix
   daspos maturity
@@ -823,96 +800,6 @@ fn cmd_loadgen(args: &[String]) -> CliResult {
             report.failure_count
         )))
     }
-}
-
-fn cmd_bench(args: &[String]) -> CliResult {
-    use daspos::bench::{self, BenchConfig};
-    let mut cfg = BenchConfig::default();
-    if let Some(e) = flag(args, "--events") {
-        cfg.events = e.parse().map_err(|_| "bad --events")?;
-    }
-    if let Some(r) = flag(args, "--reps") {
-        cfg.reps = r.parse().map_err(|_| "bad --reps")?;
-    }
-    if let Some(t) = flag(args, "--threads") {
-        cfg.threads = t.parse().map_err(|_| "bad --threads")?;
-    }
-    if let Some(s) = flag(args, "--seed") {
-        cfg.seed = s.parse().map_err(|_| "bad --seed")?;
-    }
-    if let Some(m) = flag(args, "--metrics") {
-        cfg.metrics = m
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(String::from)
-            .collect();
-        if cfg.metrics.is_empty() {
-            return Err("bad --metrics: expected comma-separated name substrings".into());
-        }
-    }
-    let out = flag(args, "--out").unwrap_or_else(|| "BENCH_10.json".to_string());
-
-    eprintln!(
-        "bench: {} events x {} reps (threads {}, seed {})…",
-        cfg.events, cfg.reps, cfg.threads, cfg.seed
-    );
-    let report = bench::run(&cfg).map_err(|e| e.to_string())?;
-    for m in &report.metrics {
-        let peak = match m.peak_alloc_bytes {
-            Some(v) => format!("  peak {v} B"),
-            None => String::new(),
-        };
-        println!(
-            "  {:>18}: {:>10.1} ns/event  {:>12.0} events/s{peak}",
-            m.name, m.median_ns_per_event, m.events_per_sec
-        );
-    }
-    if let Some(s) = report.speedup("decode_streaming", "decode_batch") {
-        println!("  streaming decode speedup over batch: {s:.2}x");
-    }
-    if let Some(s) = report.speedup("skim_streaming", "skim_batch") {
-        println!("  streaming skim speedup over batch:   {s:.2}x");
-    }
-    if let Some(s) = report.speedup("columnar_skim", "skim_streaming") {
-        println!("  columnar skim speedup over streaming: {s:.2}x");
-    }
-    if let Some(s) = report.speedup("columnar_decode_par", "columnar_decode") {
-        println!("  parallel columnar decode speedup:    {s:.2}x");
-    }
-    if let Some(r) = report.bytes_ratio("columnar_encode_v2", "columnar_encode_v1") {
-        println!(
-            "  columnar v2 bytes-on-disk vs v1:     {r:.3}x ({:.1}% saved)",
-            (1.0 - r) * 100.0
-        );
-    }
-    if let Some(r) = report.bytes_ratio("vault_ec_put", "vault_put") {
-        println!(
-            "  erasure 4+2 bytes-on-backend vs 3-replica: {r:.3}x ({:.1}% saved)",
-            (1.0 - r) * 100.0
-        );
-    }
-    let regressions =
-        bench::write_report(&report, std::path::Path::new(&out)).map_err(|e| e.to_string())?;
-    println!("wrote {out}");
-    if !regressions.is_empty() {
-        for r in &regressions {
-            eprintln!("  REGRESSION {r}");
-        }
-        if args.iter().any(|a| a == "--allow-regression") {
-            eprintln!(
-                "  {} regression(s) accepted by --allow-regression",
-                regressions.len()
-            );
-        } else {
-            return Err(CliError::Usage(format!(
-                "{} metric(s) regressed >25% versus the previous BENCH_*.json \
-                 (pass --allow-regression to accept)",
-                regressions.len()
-            )));
-        }
-    }
-    Ok(())
 }
 
 fn cmd_vault(args: &[String]) -> CliResult {

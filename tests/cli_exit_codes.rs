@@ -283,6 +283,8 @@ fn usage_errors_exit_two() {
     // Unknown command / subcommand.
     assert_eq!(code(&run(&["no-such-command"])), 2);
     assert_eq!(code(&run(&["vault", "frobnicate"])), 2);
+    // `bench` is not a command: perfbench/ is the benchmark.
+    assert_eq!(code(&run(&["bench"])), 2);
     // Missing required arguments.
     assert_eq!(code(&run(&["vault", "put"])), 2);
     assert_eq!(code(&run(&["vault", "scrub"])), 2);

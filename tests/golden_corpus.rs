@@ -34,11 +34,12 @@ fn golden_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// Rebuild the fixed chain and serialize every corpus artifact.
-fn build_corpus() -> BTreeMap<&'static str, Vec<u8>> {
+/// Rebuild the fixed chain under `opts` and serialize every corpus
+/// artifact.
+fn build_corpus(opts: &ExecOptions) -> BTreeMap<&'static str, Vec<u8>> {
     let workflow = PreservedWorkflow::standard_z(Experiment::Cms, GOLDEN_SEED, GOLDEN_EVENTS);
     let ctx = ExecutionContext::fresh(&workflow);
-    let output = workflow.execute(&ctx, &ExecOptions::default()).expect("chain executes");
+    let output = workflow.execute(&ctx, opts).expect("chain executes");
     let archive = PreservationArchive::builder("cms-z-golden")
         .production(&workflow, &ctx, &output)
         .expect("packages")
@@ -86,7 +87,7 @@ fn build_corpus() -> BTreeMap<&'static str, Vec<u8>> {
 #[test]
 fn golden_corpus_is_reproduced_byte_for_byte() {
     let dir = golden_dir();
-    let corpus = build_corpus();
+    let corpus = build_corpus(&ExecOptions::default());
 
     if std::env::var_os("DASPOS_GOLDEN_REFRESH").is_some() {
         std::fs::create_dir_all(&dir).expect("create tests/golden");
@@ -118,6 +119,32 @@ fn golden_corpus_is_reproduced_byte_for_byte() {
         );
         assert_eq!(&stored, expected, "fnv64 collision? bytes differ for {name}");
     }
+}
+
+/// Preserved bytes describe the workflow, not the host that ran it: the
+/// corpus is identical at 1, 2 and 4 worker threads and from another
+/// working directory.
+#[test]
+fn corpus_bytes_do_not_depend_on_threads_or_working_directory() {
+    let reference = build_corpus(&ExecOptions::new().threads(1));
+    for threads in [2, 4] {
+        assert_eq!(
+            build_corpus(&ExecOptions::new().threads(threads)),
+            reference,
+            "corpus differs at {threads} threads"
+        );
+    }
+    let elsewhere = std::env::temp_dir();
+    let home = std::env::current_dir().expect("working directory");
+    std::env::set_current_dir(&elsewhere).expect("enter temp dir");
+    let moved = build_corpus(&ExecOptions::default());
+    std::env::set_current_dir(home).expect("restore working directory");
+    assert_eq!(
+        moved,
+        reference,
+        "corpus differs when run from {}",
+        elsewhere.display()
+    );
 }
 
 #[test]

@@ -10,6 +10,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use daspos_hep::digest::fnv64;
+
 use crate::error::ConditionsError;
 use crate::iov::{IovKey, IovSequence, RunRange};
 use crate::store::{ConditionsStore, Payload};
@@ -160,7 +162,7 @@ impl Snapshot {
             "{}\n{}{:016x}\n{body}",
             text::HEADER,
             text::DIGEST_PREFIX,
-            text::fnv64(body.as_bytes())
+            fnv64(body.as_bytes())
         )
     }
 
@@ -196,7 +198,7 @@ impl Snapshot {
             let hex = digest_line[text::DIGEST_PREFIX.len()..].trim();
             let stored = u64::from_str_radix(hex, 16)
                 .map_err(|_| parse_err(2, "bad digest value"))?;
-            let actual = text::fnv64(body.as_bytes());
+            let actual = fnv64(body.as_bytes());
             if stored != actual {
                 return Err(ConditionsError::ParseError {
                     line: 2,

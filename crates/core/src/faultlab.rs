@@ -30,6 +30,7 @@ use bytes::Bytes;
 use daspos_conditions::Snapshot;
 use daspos_detsim::raw::RawEvent;
 use daspos_detsim::Experiment;
+use daspos_hep::seq::mix64;
 use daspos_provenance::Platform;
 use daspos_reco::objects::AodEvent;
 use daspos_tiers::codec::{self, Encodable};
@@ -78,8 +79,9 @@ pub enum ArtifactClass {
     /// A columnar `DPCF` AOD tier file: the offset table, per-column
     /// digests and independently framed columns are all in scope. On
     /// v2 files half the mutations target the per-column encodings
-    /// directly — encoding-tag flips, dictionary/counts-prologue
-    /// corruption, and truncations inside the varint/RLE streams.
+    /// directly — encoding-tag flips (including to the read-only legacy
+    /// dictionary and RLE tags), counts-prologue corruption, and
+    /// truncations inside the varint streams.
     ColumnarTier,
     /// One DPRQ/DPRS wire frame of the preservation service (length
     /// prefix + sealed body). Request frames are judged through the live
@@ -464,18 +466,10 @@ pub struct Mutation {
     pub kind: MutationKind,
 }
 
-/// SplitMix64 finalizer: a bijective avalanche mix.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Derive the RNG seed for mutation `(class, index)` of a campaign — a
 /// pure function, so a failure is replayable from its coordinates alone.
 pub fn derive_seed(master_seed: u64, class: ArtifactClass, index: u32) -> u64 {
-    mix(master_seed ^ mix(((class as u64 + 1) << 32) ^ u64::from(index)))
+    mix64(master_seed ^ mix64(((class as u64 + 1) << 32) ^ u64::from(index)))
 }
 
 /// What the mutation sampler knows about an artifact: its length and the
@@ -750,7 +744,7 @@ impl CampaignFixture {
     /// `execute` spans and counters land in `obs`.
     pub fn build_with(cfg: &CampaignConfig, obs: &Obs) -> Result<CampaignFixture, Error> {
         let workflow =
-            PreservedWorkflow::standard_z(Experiment::Cms, mix(cfg.master_seed), cfg.events);
+            PreservedWorkflow::standard_z(Experiment::Cms, mix64(cfg.master_seed), cfg.events);
         let ctx = ExecutionContext::fresh(&workflow);
         let opts = ExecOptions::default().with_obs(obs.clone());
         let output = workflow.execute(&ctx, &opts)?;
@@ -1164,10 +1158,11 @@ pub fn derive_mutation(
     } else if class == ArtifactClass::ColumnarTier && rng.gen_range(0..2u32) == 1 {
         // Half the columnar budget goes to attacks aimed at the v2
         // per-column encodings rather than uniform byte noise: flip an
-        // encoding tag (to another valid tag or an undefined one),
-        // corrupt the frame prologue just past the tag (dictionary
-        // size, counts mode, leading varints), or truncate mid-frame
-        // inside the dictionary/varint/RLE streams. All of these must
+        // encoding tag (to another valid tag — the read-only legacy
+        // dictionary and RLE tags included — or an undefined one),
+        // corrupt the frame prologue just past the tag (counts mode,
+        // leading varints), or truncate mid-frame inside the varint
+        // streams. All of these must
         // still come back detected-or-harmless — the per-column digest
         // covers the stored frame bytes, tag included, and the
         // decoders bound every read.
@@ -1531,7 +1526,7 @@ fn check_serve_stream(fixture: &CampaignFixture, scenario: &StreamScenario) -> O
                     total_len: u64::from(CHUNK) * 4,
                     chunk_size: CHUNK,
                     chunks: 1,
-                    digest: serve_stream::fnv64_fold(serve_stream::FNV_BASIS, &filler),
+                    digest: codec::fnv64(&filler),
                 },
             );
             if let Err(v) = pristine_intact(&service) {
@@ -1580,7 +1575,7 @@ fn check_serve_stream(fixture: &CampaignFixture, scenario: &StreamScenario) -> O
                     total_len: u64::from(CHUNK) * 2,
                     chunk_size: CHUNK,
                     chunks: 2,
-                    digest: serve_stream::fnv64_fold(serve_stream::FNV_BASIS, &whole),
+                    digest: codec::fnv64(&whole),
                 },
             );
             if resp.status != ServeStatus::Ok {
@@ -2415,6 +2410,30 @@ mod tests {
         assert_ne!(a, derive_seed(1, ArtifactClass::TierAod, 1));
         assert_ne!(a, derive_seed(1, ArtifactClass::TierRaw, 0));
         assert_ne!(a, derive_seed(2, ArtifactClass::TierAod, 0));
+    }
+
+    /// Replay coordinates are archived in reports: `(seed, class, index)`
+    /// must keep naming the same mutation, so the derivation is pinned to
+    /// values recorded from an earlier build.
+    #[test]
+    fn seed_derivation_is_pinned() {
+        for (seed, class, index, expected) in [
+            (0xD45_905, ArtifactClass::TierAod, 0, 0xdb64_74f5_db86_8c08),
+            (
+                0xD45_905,
+                ArtifactClass::ColumnarTier,
+                3,
+                0x790e_dfdf_2e10_819c,
+            ),
+            (1, ArtifactClass::VaultShard, 29, 0x3b51_0e42_43d0_6472),
+            (u64::MAX, ArtifactClass::Archive, 7, 0x6376_15db_ecbf_2f18),
+        ] {
+            assert_eq!(
+                derive_seed(seed, class, index),
+                expected,
+                "{class:?}:{index}"
+            );
+        }
     }
 
     #[test]

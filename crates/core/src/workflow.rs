@@ -15,6 +15,7 @@ use std::sync::Arc;
 use daspos_conditions::{ConditionsStore, DbSource, IovKey, Payload, RunRange};
 use daspos_detsim::{DetectorSimulation, Experiment};
 use daspos_gen::{EventGenerator, GeneratorConfig, NewPhysicsParams};
+use daspos_hep::digest::fnv64;
 use daspos_hep::event::ProcessKind;
 use daspos_hep::ids::DatasetId;
 use daspos_hep::SeedSequence;
@@ -632,11 +633,7 @@ pub fn populate_conditions(
     store: &ConditionsStore,
     tag: &str,
 ) -> Result<(), daspos_conditions::ConditionsError> {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in tag.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let h = fnv64(tag.as_bytes());
     let ecal = 1.0 + (h % 11) as f64 * 0.01;
     let hcal = 1.0 + ((h >> 8) % 9) as f64 * 0.01;
     store.create_tag(tag)?;

@@ -10,13 +10,15 @@
 //!   synthetic generator and detector simulation,
 //! * [`hist`] — weighted histograms, the lingua franca of HEP results,
 //! * [`seq`] — deterministic seed derivation so every pipeline stage is
-//!   reproducible from a single master seed (a preservation requirement).
+//!   reproducible from a single master seed (a preservation requirement),
+//! * [`digest`] — FNV-1a 64, the one content digest every crate shares.
 //!
 //! The DASPOS report (§3.1) stresses that "all high energy physics studies
 //! are statistical in nature, where ensembles of events are considered and
 //! properties of the ensemble are measured". The types here are therefore
 //! designed for cheap per-event construction and ensemble-level aggregation.
 
+pub mod digest;
 pub mod error;
 pub mod event;
 pub mod fourvec;

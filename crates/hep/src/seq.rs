@@ -10,9 +10,14 @@
 //! * every event gets its own sub-stream, making skims order-independent,
 //! * the whole chain replays from a single archived integer.
 
-/// SplitMix64 step: the standard 64-bit mixing finalizer.
+use crate::digest::fnv64;
+
+/// SplitMix64 step: advance `state` by the golden-ratio increment and
+/// return the avalanche mix of the new state. The toolkit's one
+/// SplitMix64; every seeded stream outside the `rand` generators draws
+/// from it, so replay coordinates keep meaning the same values.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -20,15 +25,11 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a hash of a label string, used to fold stage names into streams.
+/// One [`splitmix64`] step from `z` as a pure function: a bijective
+/// avalanche mix, for deriving independent seeds from coordinates.
 #[inline]
-fn fnv1a(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+pub fn mix64(mut z: u64) -> u64 {
+    splitmix64(&mut z)
 }
 
 /// A deterministic seed source rooted at a master seed.
@@ -50,15 +51,13 @@ impl SeedSequence {
 
     /// Seed for a named processing stage (e.g. `"gen"`, `"detsim"`).
     pub fn stage(&self, label: &str) -> u64 {
-        let mut state = self.master ^ fnv1a(label);
-        splitmix64(&mut state)
+        mix64(self.master ^ fnv64(label.as_bytes()))
     }
 
     /// Seed for one event within a named stage. Independent events get
     /// independent streams regardless of processing order.
     pub fn event(&self, label: &str, event_index: u64) -> u64 {
-        let mut state = self.stage(label) ^ event_index.wrapping_mul(0xA24B_AED4_963E_E407);
-        splitmix64(&mut state)
+        mix64(self.stage(label) ^ event_index.wrapping_mul(0xA24B_AED4_963E_E407))
     }
 
     /// A derived sub-sequence, e.g. for a RECAST request that must not

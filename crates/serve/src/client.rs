@@ -14,6 +14,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use bytes::Bytes;
+use daspos_tiers::codec::{fnv64_resume, FNV64_OFFSET};
 use daspos_vault::ObjectKind;
 
 use crate::proto::{
@@ -21,7 +22,7 @@ use crate::proto::{
     MAX_CHUNK_BYTES,
 };
 use crate::server::ServeError;
-use crate::stream::{self, fnv64_fold, FNV_BASIS};
+use crate::stream;
 use crate::wire::{self, ReadFrame};
 
 /// Default per-response wait before a client declares the server hung.
@@ -244,7 +245,7 @@ impl ServeClient {
         })?;
 
         let mut buf = vec![0u8; chunk_bytes];
-        let mut fold = FNV_BASIS;
+        let mut fold = FNV64_OFFSET;
         let mut total_len = 0u64;
         let mut seq = 0u32;
         loop {
@@ -276,7 +277,7 @@ impl ServeClient {
                 self.try_abort(id);
                 return Ok(resp);
             }
-            fold = fnv64_fold(fold, &buf[..n]);
+            fold = fnv64_resume(fold, &buf[..n]);
             total_len += n as u64;
             seq += 1;
             if n < buf.len() {
@@ -333,7 +334,7 @@ impl ServeClient {
             return Ok(begin);
         }
         let info = stream::decode_info(&begin.payload)?;
-        let mut fold = FNV_BASIS;
+        let mut fold = FNV64_OFFSET;
         let mut written = 0u64;
         for seq in 0..info.chunks {
             let resp = self.request_retrying(&Request {
@@ -354,7 +355,7 @@ impl ServeClient {
                     data.len()
                 )));
             }
-            fold = fnv64_fold(fold, &data);
+            fold = fnv64_resume(fold, &data);
             out.write_all(&data)
                 .map_err(|e| ServeError::Io(format!("stream sink failed: {e}")))?;
             written += data.len() as u64;

@@ -15,21 +15,13 @@
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use daspos_hep::seq::mix64;
 use daspos_vault::ObjectKind;
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
 use crate::client::{expect_ok, ServeClient};
 use crate::proto::{Op, Status};
 use crate::server::ServeError;
-
-/// SplitMix64 — the same per-index stream derivation faultlab uses, so
-/// client streams are independent functions of (campaign seed, client).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Relative weights of the op mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -320,7 +312,8 @@ fn run_client(cfg: &LoadgenConfig, idx: usize) -> ClientOutcome {
             return out;
         }
     };
-    let mut rng = StdRng::seed_from_u64(mix(cfg.seed ^ mix(idx as u64)));
+    // Each client's stream is a pure function of (campaign seed, client).
+    let mut rng = StdRng::seed_from_u64(mix64(cfg.seed ^ mix64(idx as u64)));
     // (key, payload, streamed?) — streamed objects are re-fetched with
     // the chunked GET and deep-verified the same way.
     let mut stored: Vec<(String, Bytes, bool)> = Vec::new();

@@ -44,6 +44,7 @@ use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use daspos_obs::Obs;
+use daspos_tiers::codec::{fnv64, fnv64_resume, FNV64_OFFSET};
 use daspos_vault::{ObjectKind, Vault, VaultError};
 
 use crate::mux::Conn;
@@ -52,8 +53,7 @@ use crate::proto::{
     Response, Status, DEFAULT_CHUNK_BYTES,
 };
 use crate::stream::{
-    self, chunk_key, chunk_prefix, decode_manifest, encode_manifest, fnv64_fold, Manifest,
-    StreamInfo, FNV_BASIS,
+    self, chunk_key, chunk_prefix, decode_manifest, encode_manifest, Manifest, StreamInfo,
 };
 use crate::wire::WireError;
 
@@ -867,7 +867,7 @@ impl Service {
                 Err(e) => return Self::vault_failure(Op::Get, &e),
             }
         }
-        if out.len() as u64 != m.info.total_len || fnv64_fold(FNV_BASIS, &out) != m.info.digest {
+        if out.len() as u64 != m.info.total_len || fnv64(&out) != m.info.digest {
             return Response::status_only(
                 Op::Get,
                 Status::Damaged,
@@ -1043,10 +1043,10 @@ impl Service {
         }
         // Re-read the staged chunks in order, folding the whole-object
         // digest — O(chunk) memory no matter how large the object.
-        let mut fold = FNV_BASIS;
+        let mut fold = FNV64_OFFSET;
         for seq in 0..chunks {
             match self.vault.get(&chunk_key(&st.composed, st.gen, seq)) {
-                Ok((_, data)) => fold = fnv64_fold(fold, &data),
+                Ok((_, data)) => fold = fnv64_resume(fold, &data),
                 Err(e) => {
                     self.abort_stream(&st);
                     return Self::vault_failure(Op::PutCommit, &e);
@@ -1173,7 +1173,7 @@ impl Service {
                     total_len: payload.len() as u64,
                     chunk_size,
                     chunks: stream::chunk_count(payload.len() as u64, chunk_size),
-                    digest: fnv64_fold(FNV_BASIS, &payload),
+                    digest: fnv64(&payload),
                 };
                 Response {
                     op: Op::GetBegin,

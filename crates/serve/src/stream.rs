@@ -38,21 +38,6 @@ pub const MANIFEST_MAGIC: &[u8; 4] = b"DPSM";
 /// Current manifest wire version.
 pub const MANIFEST_VERSION: u16 = 1;
 
-/// FNV-1a 64 offset basis — the digest of zero bytes.
-pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold more bytes into a running FNV-1a 64 state. Because FNV-1a is a
-/// sequential byte fold, `fnv64_fold(fnv64_fold(FNV_BASIS, a), b)`
-/// equals `codec::fnv64(a ++ b)` — which is what lets both ends verify
-/// a multi-gigabyte object digest while ever holding one chunk.
-pub fn fnv64_fold(mut h: u64, data: &[u8]) -> u64 {
-    for b in data {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// The chunk geometry of a streamed object, carried by the `GetBegin`
 /// response payload and (with the kind and generation) by the stored
 /// manifest.
@@ -284,18 +269,6 @@ pub fn decode_manifest(payload: &Bytes) -> Result<Manifest, ProtoError> {
 mod tests {
     use super::*;
     use daspos_tiers::codec::fnv64;
-
-    #[test]
-    fn fold_matches_one_shot_fnv64_over_any_split() {
-        let data: Vec<u8> = (0..257u32).map(|i| (i * 31 % 251) as u8).collect();
-        let whole = fnv64(&data);
-        assert_eq!(fnv64_fold(FNV_BASIS, &data), whole);
-        for cut in [0usize, 1, 7, 128, 256, 257] {
-            let folded = fnv64_fold(fnv64_fold(FNV_BASIS, &data[..cut]), &data[cut..]);
-            assert_eq!(folded, whole, "split at {cut}");
-        }
-        assert_eq!(fnv64_fold(FNV_BASIS, &[]), fnv64(&[]));
-    }
 
     #[test]
     fn payload_codecs_round_trip_and_reject_trailing_bytes() {

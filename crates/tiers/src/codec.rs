@@ -16,6 +16,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use daspos_detsim::raw::{CaloCell, MuonHit, RawEvent, TrackerHit};
+use daspos_hep::digest::FNV64_PRIME;
 use daspos_hep::event::EventHeader;
 use daspos_reco::objects::{
     AodEvent, CaloCluster, Electron, Jet, Met, Muon, MuonSegment, Photon, RecoEvent, Track,
@@ -133,29 +134,10 @@ impl CodecError {
     }
 }
 
-/// FNV-1a 64 offset basis: the state of a digest over no bytes.
-pub const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-const FNV64_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// FNV-1a 64 over a byte slice — the toolkit's standard content digest,
-/// shared by the integrity seal, the archive container and the
-/// conditions-snapshot text form.
-pub fn fnv64(data: &[u8]) -> u64 {
-    fnv64_resume(FNV64_OFFSET, data)
-}
-
-/// Continue an [`fnv64`] digest from `state` over `data`:
-/// `fnv64(a ++ b) == fnv64_resume(fnv64(a), b)`. Lets a caller digest a
-/// short header and a long payload without copying them together.
-pub fn fnv64_resume(state: u64, data: &[u8]) -> u64 {
-    let mut h = state;
-    for b in data {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV64_PRIME);
-    }
-    h
-}
+/// FNV-1a 64 — the toolkit's standard content digest, shared by the
+/// integrity seal, the archive container and the conditions-snapshot
+/// text form — re-exported from its one definition in `daspos-hep`.
+pub use daspos_hep::digest::{fnv64, fnv64_resume, FNV64_OFFSET};
 
 /// Most FNV chains [`fnv64_lanes`] runs in lockstep. Four keeps every
 /// state in a register; wider groups measured no faster.

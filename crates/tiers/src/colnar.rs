@@ -15,7 +15,8 @@
 //! table  := n_cols × (col_id:u8 offset:u32le length:u32le digest:u64le)
 //! frames := column frames, concatenated in table order
 //! v1 frame := raw column payload
-//! v2 frame := tag:u8 body        (tag: 0 raw, 1 dict, 2 delta, 3 rle)
+//! v2 frame := tag:u8 body        (tag: 0 raw, 1 dict, 2 delta, 3 rle;
+//!                                 1 and 3 are read-only legacy tags)
 //! ```
 //!
 //! Offsets are relative to the end of the table and must tile the frames
@@ -28,13 +29,15 @@
 //! cover both). The digest covers the *stored* frame bytes — tag
 //! included — so an encoding-tag flip is caught like any payload flip.
 //!
-//! Version 2 writes each column frame with the cheapest of four
-//! encodings, chosen by a per-column cost probe at encode time (the
-//! probe *is* the candidate encoders; smallest output wins, ties go to
-//! the lowest tag so the choice is a pure function of the raw column
-//! bytes and skim output stays canonical). Version-1 files still parse
-//! and decode; see DESIGN.md §14 for the per-encoding byte layouts and
-//! when each wins.
+//! Version 2 writes each column frame delta-encoded (tag 2) and keeps
+//! the raw frame (tag 0) only when delta is not strictly smaller, so
+//! the choice is a pure function of the raw column bytes and skim
+//! output stays canonical. Tags 1 (dictionary) and 3 (run-length) are
+//! read-only legacy encodings: earlier writers emitted them, no chain
+//! dataset ever chose them, and every reader still decodes them.
+//! Version-1 files still parse and decode; see DESIGN.md §14 for the
+//! per-encoding byte layouts and the ablation that retired the
+//! dictionary and run-length writers.
 //!
 //! Fixed columns hold one `stride`-sized record per row; variable columns
 //! hold `count:u32le` then `count × entry_size` bytes per row, walked by
@@ -43,9 +46,8 @@
 //! (the four-momentum every kinematic cut reads) and an *id* column (the
 //! identification payload cuts almost never read).
 
-use std::collections::HashMap;
-
 use bytes::{BufMut, Bytes, BytesMut};
+use daspos_hep::digest::{FNV64_OFFSET, FNV64_PRIME};
 use daspos_hep::event::EventHeader;
 use daspos_hep::fourvec::FourVector;
 use daspos_obs::MetricsRegistry;
@@ -75,10 +77,11 @@ const TAG_RLE: u8 = 3;
 const COUNTS_VARINT: u8 = 0;
 const COUNTS_RLE: u8 = 1;
 
-/// Longest run one RLE pair may cover. Caps how many output bytes a
-/// single input pair can demand, so a forged tiny frame cannot request
-/// an allocation out of proportion to its own size; the encoder just
-/// splits longer runs into several pairs.
+/// Longest run one RLE pair (counts block or legacy RLE frame) may
+/// cover. Caps how many output bytes a single input pair can demand, so
+/// a forged tiny frame cannot request an allocation out of proportion
+/// to its own size; the encoder just splits longer runs into several
+/// pairs.
 const MAX_RUN: u64 = 255;
 
 /// Number of columns in the AOD schema.
@@ -139,28 +142,28 @@ impl TierFormat {
 /// round-robin byte-wise; the lane states and the total length are
 /// folded through a final plain [`fnv64`].
 pub fn fnv64_wide(data: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
     let mut lanes = [
-        OFFSET,
-        OFFSET.wrapping_mul(PRIME),
-        OFFSET.wrapping_mul(PRIME).wrapping_mul(PRIME),
-        OFFSET
-            .wrapping_mul(PRIME)
-            .wrapping_mul(PRIME)
-            .wrapping_mul(PRIME),
+        FNV64_OFFSET,
+        FNV64_OFFSET.wrapping_mul(FNV64_PRIME),
+        FNV64_OFFSET
+            .wrapping_mul(FNV64_PRIME)
+            .wrapping_mul(FNV64_PRIME),
+        FNV64_OFFSET
+            .wrapping_mul(FNV64_PRIME)
+            .wrapping_mul(FNV64_PRIME)
+            .wrapping_mul(FNV64_PRIME),
     ];
     let mut chunks = data.chunks_exact(32);
     for c in chunks.by_ref() {
         for (k, lane) in lanes.iter_mut().enumerate() {
             let w = u64::from_le_bytes(c[k * 8..k * 8 + 8].try_into().expect("8-byte word"));
-            *lane = (*lane ^ w).wrapping_mul(PRIME);
+            *lane = (*lane ^ w).wrapping_mul(FNV64_PRIME);
         }
     }
     for (i, byte) in chunks.remainder().iter().enumerate() {
         let lane = &mut lanes[i % 4];
         *lane ^= u64::from(*byte);
-        *lane = lane.wrapping_mul(PRIME);
+        *lane = lane.wrapping_mul(FNV64_PRIME);
     }
     let mut tail = [0u8; 40];
     for (i, lane) in lanes.iter().enumerate() {
@@ -513,7 +516,7 @@ impl ColumnarFile {
     }
 
     /// Encode AOD events into a columnar file (current version, with
-    /// each column frame written in its cheapest encoding).
+    /// each column frame written delta-or-raw).
     /// Deterministic: the same events always produce the same bytes.
     ///
     /// Panics if the row count exceeds the u32 field — truncating the
@@ -638,7 +641,7 @@ fn put_varint(buf: &mut BytesMut, mut v: u64) {
 }
 
 /// Encoded size of [`put_varint`]'s output, computed from the bit
-/// width (branchless; the cost probes sum this over every field).
+/// width (branchless; the counts-block mode choice sums this per row).
 fn varint_len(v: u64) -> usize {
     (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
@@ -802,101 +805,45 @@ fn check_count(c: u64, total_so_far: u64) -> Result<u64, CodecError> {
     Ok(c)
 }
 
-/// Encode `records` (concatenated `rec`-byte records) under `tag` into
-/// `out` (which already carries the frame prefix). Returns false when
-/// the encoding does not apply (dictionary cardinality above 256).
-fn encode_records(
-    tag: u8,
-    records: &[u8],
-    rec: usize,
-    plan: &[FieldKind],
-    out: &mut BytesMut,
-) -> bool {
-    match tag {
-        TAG_DICT => {
-            let n = records.len() / rec;
-            let mut table: Vec<&[u8]> = Vec::new();
-            let mut map: HashMap<&[u8], u8> = HashMap::new();
-            let mut idx: Vec<u8> = Vec::with_capacity(n);
-            for r in records.chunks_exact(rec) {
-                let i = if let Some(&i) = map.get(r) {
-                    i
-                } else {
-                    if table.len() == 256 {
-                        return false;
-                    }
-                    let i = table.len() as u8;
-                    table.push(r);
-                    map.insert(r, i);
-                    i
-                };
-                idx.push(i);
-            }
-            out.put_u16_le(table.len() as u16);
-            for r in &table {
-                out.put_slice(r);
-            }
-            out.put_slice(&idx);
-            true
-        }
-        TAG_DELTA => {
-            let mut prev = [0u64; MAX_PLAN_FIELDS];
-            for r in records.chunks_exact(rec) {
-                let mut off = 0usize;
-                for (fi, kind) in plan.iter().enumerate() {
-                    match kind {
-                        FieldKind::Byte => {
-                            out.put_u8(r[off]);
-                            off += 1;
-                        }
-                        FieldKind::U32 => {
-                            let v = u64::from(rd_u32(r, off));
-                            put_varint(out, zigzag(v as i64 - prev[fi] as i64));
-                            prev[fi] = v;
-                            off += 4;
-                        }
-                        FieldKind::U64 => {
-                            let v = rd_u64(r, off);
-                            put_varint(out, zigzag((v as i64).wrapping_sub(prev[fi] as i64)));
-                            prev[fi] = v;
-                            off += 8;
-                        }
-                        FieldKind::F64 => {
-                            let v = rd_u64(r, off);
-                            put_varint(out, v ^ prev[fi]);
-                            prev[fi] = v;
-                            off += 8;
-                        }
-                    }
+/// Delta-encode `records` (concatenated `rec`-byte records) under the
+/// field `plan` into `out` (which already carries the frame prefix).
+fn encode_delta(records: &[u8], rec: usize, plan: &[FieldKind], out: &mut BytesMut) {
+    let mut prev = [0u64; MAX_PLAN_FIELDS];
+    for r in records.chunks_exact(rec) {
+        let mut off = 0usize;
+        for (fi, kind) in plan.iter().enumerate() {
+            match kind {
+                FieldKind::Byte => {
+                    out.put_u8(r[off]);
+                    off += 1;
                 }
-                debug_assert_eq!(off, rec, "field plan must cover the record");
-            }
-            true
-        }
-        TAG_RLE => {
-            let n = records.len() / rec;
-            let mut i = 0usize;
-            while i < n {
-                let r = &records[i * rec..(i + 1) * rec];
-                let mut run = 1usize;
-                while i + run < n
-                    && run < MAX_RUN as usize
-                    && &records[(i + run) * rec..(i + run + 1) * rec] == r
-                {
-                    run += 1;
+                FieldKind::U32 => {
+                    let v = u64::from(rd_u32(r, off));
+                    put_varint(out, zigzag(v as i64 - prev[fi] as i64));
+                    prev[fi] = v;
+                    off += 4;
                 }
-                put_varint(out, run as u64);
-                out.put_slice(r);
-                i += run;
+                FieldKind::U64 => {
+                    let v = rd_u64(r, off);
+                    put_varint(out, zigzag((v as i64).wrapping_sub(prev[fi] as i64)));
+                    prev[fi] = v;
+                    off += 8;
+                }
+                FieldKind::F64 => {
+                    let v = rd_u64(r, off);
+                    put_varint(out, v ^ prev[fi]);
+                    prev[fi] = v;
+                    off += 8;
+                }
             }
-            true
         }
-        _ => unreachable!("raw is the baseline, not a candidate encoding"),
+        debug_assert_eq!(off, rec, "field plan must cover the record");
     }
 }
 
 /// Decode exactly `n_records` `rec`-byte records from `b` at `*off`
-/// into `out`, under the encoding `tag` was validated to name. Corrupt
+/// into `out`, under the encoding `tag` was validated to name: delta,
+/// or one of the legacy dictionary and RLE encodings. Corrupt
 /// streams error before producing data, and the initial reserve is
 /// clamped, so allocation stays proportional to the bytes the frame
 /// actually carries — a forged count cannot demand memory the stream
@@ -1018,181 +965,27 @@ fn decode_records(
     Ok(())
 }
 
-/// FNV-1a over one record's bytes, for the dictionary cost probe.
-fn hash_record(r: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in r {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Exact body size the dictionary encoder would emit for `records`,
-/// or `None` when the cardinality exceeds the 256-entry index range —
-/// the probe bails exactly where [`encode_records`] would. Distinct
-/// records are tracked in a small open-addressed table (FNV hash,
-/// linear probing, byte-compare on hit) so the common high-cardinality
-/// columns bail after a few hundred cheap inserts.
-fn dict_probe(records: &[u8], rec: usize) -> Option<usize> {
-    const SLOTS: usize = 1024; // 4x the 256-entry cap keeps probe chains short
-    let n = records.len() / rec;
-    let mut slots = [0u32; SLOTS]; // record index + 1; 0 marks empty
-    let mut distinct = 0usize;
-    for (i, r) in records.chunks_exact(rec).enumerate() {
-        let mut s = (hash_record(r) as usize) & (SLOTS - 1);
-        loop {
-            let j = slots[s] as usize;
-            if j == 0 {
-                if distinct == 256 {
-                    return None;
-                }
-                slots[s] = i as u32 + 1;
-                distinct += 1;
-                break;
-            }
-            if &records[(j - 1) * rec..j * rec] == r {
-                break;
-            }
-            s = (s + 1) & (SLOTS - 1);
-        }
-    }
-    Some(2 + distinct * rec + n)
-}
-
-/// Exact body size the delta encoder would emit for `records`: the
-/// same field walk as [`encode_records`], summing [`varint_len`]
-/// instead of writing.
-fn delta_probe(records: &[u8], rec: usize, plan: &[FieldKind]) -> usize {
-    let mut prev = [0u64; MAX_PLAN_FIELDS];
-    let mut size = 0usize;
-    for r in records.chunks_exact(rec) {
-        let mut off = 0usize;
-        for (fi, kind) in plan.iter().enumerate() {
-            match kind {
-                FieldKind::Byte => {
-                    size += 1;
-                    off += 1;
-                }
-                FieldKind::U32 => {
-                    let v = u64::from(rd_u32(r, off));
-                    size += varint_len(zigzag(v as i64 - prev[fi] as i64));
-                    prev[fi] = v;
-                    off += 4;
-                }
-                FieldKind::U64 => {
-                    let v = rd_u64(r, off);
-                    size += varint_len(zigzag((v as i64).wrapping_sub(prev[fi] as i64)));
-                    prev[fi] = v;
-                    off += 8;
-                }
-                FieldKind::F64 => {
-                    let v = rd_u64(r, off);
-                    size += varint_len(v ^ prev[fi]);
-                    prev[fi] = v;
-                    off += 8;
-                }
-            }
-        }
-    }
-    size
-}
-
-/// Exact body size the RLE encoder would emit for `records`.
-fn rle_probe(records: &[u8], rec: usize) -> usize {
-    let n = records.len() / rec;
-    let mut size = 0usize;
-    let mut i = 0usize;
-    while i < n {
-        let r = &records[i * rec..(i + 1) * rec];
-        let mut run = 1usize;
-        while i + run < n
-            && run < MAX_RUN as usize
-            && &records[(i + run) * rec..(i + run + 1) * rec] == r
-        {
-            run += 1;
-        }
-        size += varint_len(run as u64) + rec;
-        i += run;
-    }
-    size
-}
-
-/// Probe all candidate encodings for `records` and return the winning
-/// tag plus its frame size, starting from a raw frame of
-/// `raw_frame_len` bytes. `prefix` is whatever the non-raw frames
-/// carry between the tag and the record stream (the counts block for
-/// variable columns, zero for fixed ones). Candidates are compared in
-/// tag order with strict `<`, so ties resolve exactly as the old
-/// encode-everything probe did: raw first, then the lowest tag.
-fn pick_encoding(
-    records: &[u8],
-    rec: usize,
-    plan: &[FieldKind],
-    prefix: usize,
-    raw_frame_len: usize,
-) -> (u8, usize) {
-    let mut best_tag = TAG_RAW;
-    let mut best = raw_frame_len;
-    if let Some(body) = dict_probe(records, rec) {
-        let cand = 1 + prefix + body;
-        if cand < best {
-            best_tag = TAG_DICT;
-            best = cand;
-        }
-    }
-    let cand = 1 + prefix + delta_probe(records, rec, plan);
-    if cand < best {
-        best_tag = TAG_DELTA;
-        best = cand;
-    }
-    let cand = 1 + prefix + rle_probe(records, rec);
-    if cand < best {
-        best_tag = TAG_RLE;
-        best = cand;
-    }
-    (best_tag, best)
-}
-
-/// Build the raw (tag 0) frame for a column payload.
-fn raw_frame(raw: &[u8]) -> BytesMut {
-    let mut frame = BytesMut::with_capacity(raw.len() + 1);
-    frame.put_u8(TAG_RAW);
-    frame.put_slice(raw);
-    frame
-}
-
-/// Encode one raw column payload into its cheapest v2 frame
-/// (tag-prefixed). The cost probe computes each candidate's exact
-/// output size in one arithmetic pass ([`dict_probe`], [`delta_probe`],
-/// [`rle_probe`]) and only the winner is actually encoded — the sizes
-/// are exact, so the output is byte-identical to encoding every
-/// candidate and keeping the smallest, at a fraction of the cost. Ties
-/// go to the lowest tag (raw first). A pure function of
-/// (column, raw bytes, row count) — so re-encoding the rows a skim
-/// keeps equals encoding the same events from scratch, and skim output
-/// stays canonical.
+/// Encode one raw column payload into its v2 frame (tag-prefixed):
+/// delta ([`encode_delta`] under the column's field plan, or verbatim
+/// entries behind a compressed counts block for the fat columns) when
+/// that is strictly smaller than the raw frame, raw otherwise. A pure
+/// function of (column, raw bytes, row count) — so re-encoding the rows
+/// a skim keeps equals encoding the same events from scratch, and skim
+/// output stays canonical.
 fn encode_column(id: ColumnId, raw: &[u8], n_rows: usize) -> BytesMut {
+    let mut frame = BytesMut::with_capacity(1 + raw.len());
+    frame.put_u8(TAG_DELTA);
     match id.layout() {
         ColumnLayout::Fixed(stride) => {
             let plan = delta_plan(id).expect("fixed columns carry a field plan");
-            let (tag, size) = pick_encoding(raw, stride, plan, 0, 1 + raw.len());
-            if tag == TAG_RAW {
-                return raw_frame(raw);
-            }
-            let mut frame = BytesMut::with_capacity(size);
-            frame.put_u8(tag);
-            let applied = encode_records(tag, raw, stride, plan, &mut frame);
-            debug_assert!(applied, "the probe only picks applicable encodings");
-            debug_assert_eq!(frame.len(), size, "probe size must match the encoder");
-            frame
+            encode_delta(raw, stride, plan, &mut frame);
         }
         ColumnLayout::Var(entry) => {
             // Scan the raw payload for per-row counts (the payload is
             // valid by construction here — it was just built from
-            // events). Entries are only copied out for the thin
-            // id-columns that feed the record probes; fat columns go
-            // straight from `raw` into the winning frame.
+            // events). Entries are only gathered for the thin id-columns
+            // that delta-encode; fat columns go straight from `raw` into
+            // the frame.
             let mut counts: Vec<u32> = Vec::with_capacity(n_rows);
             let mut off = 0usize;
             for _ in 0..n_rows {
@@ -1200,51 +993,36 @@ fn encode_column(id: ColumnId, raw: &[u8], n_rows: usize) -> BytesMut {
                 counts.push(c);
                 off += 4 + c as usize * entry;
             }
-            let counts_block = encode_counts(&counts);
-            match delta_plan(id) {
-                None => {
-                    // Fat column: entries verbatim under TAG_DELTA; the
-                    // frame wins exactly when the counts block beats
-                    // the 4 bytes/row of raw prefixes.
-                    let entries_len = raw.len() - 4 * n_rows;
-                    if counts_block.len() + entries_len >= raw.len() {
-                        return raw_frame(raw);
-                    }
-                    let mut frame = BytesMut::with_capacity(1 + counts_block.len() + entries_len);
-                    frame.put_u8(TAG_DELTA);
-                    frame.put_slice(&counts_block);
-                    let mut off = 0usize;
-                    for &c in &counts {
-                        let len = c as usize * entry;
-                        frame.put_slice(&raw[off + 4..off + 4 + len]);
-                        off += 4 + len;
-                    }
-                    frame
+            frame.put_slice(&encode_counts(&counts));
+            let plan = delta_plan(id);
+            let mut entries = BytesMut::new();
+            let sink = match plan {
+                None => &mut frame,
+                Some(_) => {
+                    entries.reserve(raw.len() - 4 * n_rows);
+                    &mut entries
                 }
-                Some(plan) => {
-                    let mut entries = BytesMut::with_capacity(raw.len().saturating_sub(4 * n_rows));
-                    let mut off = 0usize;
-                    for &c in &counts {
-                        let len = c as usize * entry;
-                        entries.put_slice(&raw[off + 4..off + 4 + len]);
-                        off += 4 + len;
-                    }
-                    let (tag, size) =
-                        pick_encoding(&entries, entry, plan, counts_block.len(), 1 + raw.len());
-                    if tag == TAG_RAW {
-                        return raw_frame(raw);
-                    }
-                    let mut frame = BytesMut::with_capacity(size);
-                    frame.put_u8(tag);
-                    frame.put_slice(&counts_block);
-                    let applied = encode_records(tag, &entries, entry, plan, &mut frame);
-                    debug_assert!(applied, "the probe only picks applicable encodings");
-                    debug_assert_eq!(frame.len(), size, "probe size must match the encoder");
-                    frame
-                }
+            };
+            let mut off = 0usize;
+            for &c in &counts {
+                let len = c as usize * entry;
+                sink.put_slice(&raw[off + 4..off + 4 + len]);
+                off += 4 + len;
+            }
+            if let Some(plan) = plan {
+                encode_delta(&entries, entry, plan, &mut frame);
             }
         }
     }
+    if frame.len() > raw.len() {
+        // Delta is not strictly smaller than the raw frame: ties go to raw.
+        frame.clear();
+        frame.put_u8(TAG_RAW);
+        frame.put_slice(raw);
+    }
+    // Frames live until the file is assembled: keep an exact-size copy,
+    // not the raw-sized encode buffer.
+    BytesMut::from(frame.to_vec())
 }
 
 /// Decode a non-raw v2 frame into a [`ColumnReader`]. Small-record
@@ -2451,28 +2229,96 @@ mod tests {
     }
 
     #[test]
-    fn cost_probe_picks_the_expected_encodings() {
+    fn writer_keeps_delta_only_when_strictly_smaller_than_raw() {
         // Constant run/lumi + incrementing event number: the header column
-        // deltas down to ~3 bytes/row. Default (empty) events leave the
-        // scalars column one long run and the fat columns all-zero counts.
+        // deltas down to ~3 bytes/row, the all-zero scalars to 3 bytes/row,
+        // and the empty fat columns shrink to a counts block.
         let runs: Vec<AodEvent> = (0..600)
             .map(|i| AodEvent::new(EventHeader::new(194_270, 12, 900_000 + i as u64)))
             .collect();
         let file = ColumnarFile::from_rows(&runs);
         let parsed = ColumnarFile::parse(&file).expect("parses");
-        assert_eq!(frame_tag(&file, &parsed, ColumnId::Header), TAG_DELTA);
-        assert_eq!(frame_tag(&file, &parsed, ColumnId::Scalars), TAG_RLE);
-        assert_eq!(frame_tag(&file, &parsed, ColumnId::ElectronP4), TAG_DELTA);
+        for id in ColumnId::ALL {
+            assert_eq!(frame_tag(&file, &parsed, id), TAG_DELTA, "{}", id.name());
+        }
         // The all-empty fat column compresses to a handful of bytes where
         // raw spends 4 bytes per row on zero counts.
         assert!(parsed.cols[ColumnId::ElectronP4 as usize].len < 32);
         assert_eq!(parsed.to_rows().expect("decodes"), runs);
 
-        // Scalars alternating between two distinct records: dictionary
-        // territory (2 records + 1 index byte/row beats 20 bytes/row raw).
-        let alternating: Vec<AodEvent> = (0..600)
+        // One row whose scalars delta to exactly the 20 raw bytes (a
+        // negative f64 costs a 10-byte varint, 3.0 a 9-byte one, 7 one
+        // byte): the tie goes to raw. A `mey` whose bits fit 56 bits
+        // costs 8 bytes, so delta is one byte smaller and is kept, as it
+        // is with `mey` zeroed.
+        let one_row = |mey: f64| {
+            let mut ev = AodEvent::new(EventHeader::new(194_270, 12, 900_000));
+            ev.met = Met { mex: -4.5, mey };
+            ev.n_tracks = 7;
+            ColumnarFile::from_rows(&[ev])
+        };
+        for (mey, tag, len) in [
+            (3.0, TAG_RAW, 21),
+            (f64::from_bits(1 << 55), TAG_DELTA, 20),
+            (0.0, TAG_DELTA, 13),
+        ] {
+            let file = one_row(mey);
+            let parsed = ColumnarFile::parse(&file).expect("parses");
+            assert_eq!(
+                frame_tag(&file, &parsed, ColumnId::Scalars),
+                tag,
+                "mey {mey}"
+            );
+            assert_eq!(
+                parsed.cols[ColumnId::Scalars as usize].len,
+                len,
+                "mey {mey}"
+            );
+            assert_eq!(parsed.to_rows().expect("decodes")[0].met.mey, mey);
+        }
+    }
+
+    #[test]
+    fn v2_writer_emits_only_raw_and_delta_frames() {
+        for n in [1usize, 7, 300] {
+            let events = sample_events(n);
+            let file = ColumnarFile::from_rows(&events);
+            let parsed = ColumnarFile::parse(&file).expect("parses");
+            for id in ColumnId::ALL {
+                let tag = frame_tag(&file, &parsed, id);
+                assert!(
+                    tag == TAG_RAW || tag == TAG_DELTA,
+                    "{n} events: column '{}' written with tag {tag}",
+                    id.name()
+                );
+            }
+            assert_eq!(parsed.to_rows().expect("decodes"), events);
+        }
+    }
+
+    /// A v2 file written by a writer that still emitted the dictionary
+    /// and RLE encodings, from [`legacy_events`]: its mu-id column is one
+    /// RLE run and its scalars column a two-entry dictionary. Readers
+    /// keep decoding both.
+    const LEGACY_V2: &[u8] = include_bytes!("../../../tests/golden/dpcf-v2-dict-rle.dpcf");
+
+    /// 40 events with one identical muon each and MET alternating
+    /// between two values.
+    fn legacy_events() -> Vec<AodEvent> {
+        (0..40u64)
             .map(|i| {
-                let mut ev = AodEvent::new(EventHeader::new(1, 1, i as u64));
+                let mut ev = AodEvent::new(EventHeader::new(194_270, 12, 900_000 + i));
+                ev.muons.push(Muon {
+                    momentum: FourVector {
+                        px: -8.0,
+                        py: 14.0,
+                        pz: -2.0,
+                        e: 30.0,
+                    },
+                    charge: -1,
+                    n_stations: 3,
+                    isolation: 0.05,
+                });
                 ev.met = Met {
                     mex: if i % 2 == 0 { 17.25 } else { -4.5 },
                     mey: 3.0,
@@ -2480,96 +2326,42 @@ mod tests {
                 ev.n_tracks = 7;
                 ev
             })
-            .collect();
-        let file = ColumnarFile::from_rows(&alternating);
-        let parsed = ColumnarFile::parse(&file).expect("parses");
+            .collect()
+    }
+
+    #[test]
+    fn legacy_dictionary_and_rle_frames_still_decode() {
+        let file = Bytes::from_static(LEGACY_V2);
+        let events = legacy_events();
+        let parsed = ColumnarFile::parse(&file).expect("legacy file parses");
+        assert_eq!(parsed.version(), COLUMNAR_VERSION);
+        assert_eq!(frame_tag(&file, &parsed, ColumnId::MuonId), TAG_RLE);
         assert_eq!(frame_tag(&file, &parsed, ColumnId::Scalars), TAG_DICT);
-        assert_eq!(parsed.to_rows().expect("decodes"), alternating);
-    }
+        parsed.verify().expect("legacy file verifies");
+        assert_eq!(parsed.to_rows().expect("legacy file decodes"), events);
 
-    #[test]
-    fn mixed_encoding_file_round_trips() {
-        // Heterogeneous events drive different winners per column; the
-        // file must still decode exactly and expose at least two distinct
-        // non-raw encodings.
-        let events = sample_events(300);
-        let file = ColumnarFile::from_rows(&events);
-        let parsed = ColumnarFile::parse(&file).expect("parses");
-        let tags: std::collections::BTreeSet<u8> = ColumnId::ALL
-            .iter()
-            .map(|&id| frame_tag(&file, &parsed, id))
-            .collect();
-        assert!(
-            tags.iter().filter(|&&t| t != TAG_RAW).count() >= 2,
-            "expected a mix of encodings, got tags {tags:?}"
-        );
-        assert_eq!(parsed.to_rows().expect("decodes"), events);
-    }
+        for sel in selections() {
+            for slim in [SlimSpec::keep_all(), SlimSpec::leptons_only()] {
+                let (expected, _) = skim_slim(&events, &sel, &slim);
+                let (out, _) =
+                    skim_slim_columnar(&file, &sel, &slim, None).expect("legacy file skims");
+                assert_eq!(out, ColumnarFile::from_rows(&expected), "sel {sel}");
+            }
+        }
 
-    #[test]
-    fn each_forced_encoding_round_trips_at_the_record_level() {
-        // 700 scalar records (rec = 20) cycling over 17 distinct values
-        // with runs: exercises dictionary, delta and RLE on one input.
-        let rec = 20; // Scalars stride: mex f64 ++ mey f64 ++ n_tracks u32
-        let plan = delta_plan(ColumnId::Scalars).unwrap();
-        let mut records = Vec::new();
-        for i in 0..700u64 {
-            let v = (i * i / 40) % 17;
-            records.extend_from_slice(&(v as f64 * 1.5).to_le_bytes());
-            records.extend_from_slice(&(-(v as f64)).to_le_bytes());
-            records.extend_from_slice(&(v as u32).to_le_bytes());
+        for len in 0..file.len() {
+            ColumnarFile::parse(&file.slice(0..len))
+                .and_then(|f| f.to_rows().map(|_| ()))
+                .expect_err("legacy truncation must error");
         }
-        let n = records.len() / rec;
-        for tag in [TAG_DICT, TAG_DELTA, TAG_RLE] {
-            let mut enc = BytesMut::new();
-            assert!(
-                encode_records(tag, &records, rec, plan, &mut enc),
-                "tag {tag}"
-            );
-            let mut out = Vec::new();
-            let mut off = 0usize;
-            decode_records(
-                ColumnId::Scalars,
-                tag,
-                &enc,
-                &mut off,
-                n,
-                rec,
-                plan,
-                &mut out,
-            )
-            .expect("forced encoding decodes");
-            assert_eq!(off, enc.len(), "tag {tag} must consume its stream exactly");
-            assert_eq!(out, records, "tag {tag} round trip");
+        for pos in 0..file.len() {
+            let mut bytes = file.to_vec();
+            bytes[pos] ^= 0x40;
+            match ColumnarFile::parse(&Bytes::from(bytes)).and_then(|f| f.to_rows()) {
+                Err(_) => {}
+                Ok(back) => assert_eq!(back, events, "undetected legacy flip at byte {pos}"),
+            }
         }
-        // Runs longer than MAX_RUN are split by the encoder and re-joined
-        // by the decoder.
-        let long_run: Vec<u8> = records[..rec].repeat(600);
-        let mut enc = BytesMut::new();
-        assert!(encode_records(TAG_RLE, &long_run, rec, plan, &mut enc));
-        let mut out = Vec::new();
-        let mut off = 0usize;
-        decode_records(
-            ColumnId::Scalars,
-            TAG_RLE,
-            &enc,
-            &mut off,
-            600,
-            rec,
-            plan,
-            &mut out,
-        )
-        .expect("long run decodes");
-        assert_eq!(out, long_run);
-        // A dictionary encoder bails above 256 distinct records.
-        let mut wide = Vec::new();
-        for i in 0..300u32 {
-            wide.extend_from_slice(&(i as f64).to_le_bytes());
-            wide.extend_from_slice(&0f64.to_le_bytes());
-            wide.extend_from_slice(&i.to_le_bytes());
-        }
-        let mut enc = BytesMut::new();
-        assert!(!encode_records(TAG_DICT, &wide, rec, plan, &mut enc));
     }
 
     #[test]
@@ -2613,14 +2405,17 @@ mod tests {
     }
 
     /// `(events, v2 len, v2 fnv64, v1 len, v1 fnv64)` of `from_rows` and
-    /// `from_rows_v1` over `sample_events(events)`, recorded from the
-    /// writer before both versions moved onto the per-column layout.
+    /// `from_rows_v1` over `sample_events(events)`. The v1 values and the
+    /// v2 values at 0 and 1 events were recorded before both versions
+    /// moved onto the per-column layout; the v2 values at 7, 50 and 301
+    /// events were re-recorded when the writer stopped emitting the
+    /// dictionary and RLE encodings those synthetic inputs used to pick.
     const GOLDEN_FILES: [(usize, usize, u64, usize, u64); 5] = [
         (0, 192, 0x28476e71586dd950, 182, 0xf2f731f2cfc48d22),
         (1, 278, 0x27f7d9aa5e67db78, 292, 0x4c5d6862b835fd6f),
-        (7, 1879, 0x16fe9e0f5e1f958e, 2348, 0x23dd93bb839653a4),
-        (50, 12517, 0xe365ae471191e1fd, 16933, 0x1315c1dbee85d1b2),
-        (301, 73648, 0x99c9245f32a008c2, 101092, 0x8c54582fef16d1d8),
+        (7, 1937, 0xc71d6464319366bb, 2348, 0x23dd93bb839653a4),
+        (50, 13716, 0xd8c844e4e02fd238, 16933, 0x1315c1dbee85d1b2),
+        (301, 81337, 0xb75d61d19a542934, 101092, 0x8c54582fef16d1d8),
     ];
 
     #[test]

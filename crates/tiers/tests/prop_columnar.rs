@@ -244,15 +244,15 @@ proptest! {
             .expect("v2 decodes");
         prop_assert_eq!(&from_v1, &events);
         prop_assert_eq!(&from_v2, &events);
-        // The cost probe keeps raw as the floor: worst case is raw
+        // The writer keeps raw as the floor: worst case is raw
         // frames plus one tag byte for each of the ten columns.
         prop_assert!(v2.len() <= v1.len() + 10);
     }
 
-    // Redundancy-biased events drive the per-column cost probe into its
-    // dictionary / RLE / delta arms (tiny value palettes, constant runs,
-    // incrementing headers); whatever mix of encodings wins, the file
-    // must round-trip exactly and re-encode canonically.
+    // Redundancy-biased events (tiny value palettes, constant runs,
+    // incrementing headers) push both the delta frames and the counts
+    // blocks' run mode; whichever of delta or raw each column keeps, the
+    // file must round-trip exactly and re-encode canonically.
     #[test]
     fn redundancy_biased_files_round_trip_across_encodings(
         n in 1usize..200,

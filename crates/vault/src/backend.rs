@@ -9,7 +9,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::Write;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use bytes::Bytes;
@@ -155,11 +157,15 @@ impl StorageBackend for MemoryBackend {
 
 /// A directory-tree backend: one file per key under a root directory.
 ///
-/// Writes are atomic at the object level (write to a dot-prefixed
-/// temporary, then rename), so a crash mid-`put` never leaves a
-/// half-written replica that a scrub would have to distinguish from bit
-/// rot. The key alphabet ([`validate_key`]) guarantees keys map 1:1 to
-/// file names; dot-prefixed temporaries are invisible to [`list`].
+/// Writes are atomic at the object level (write a dot-prefixed
+/// temporary, fsync it, rename it over the key, fsync the directory), so
+/// a crash mid-`put` never leaves a half-written replica that a scrub
+/// would have to distinguish from bit rot, and an acknowledged `put`
+/// survives a crash. Each `put` writes its own fixed-length temporary,
+/// so a 255-byte key still fits the file-name limit and concurrent puts
+/// of one key cannot tear each other: the last rename wins whole. The
+/// key alphabet ([`validate_key`]) guarantees keys map 1:1 to file
+/// names; dot-prefixed temporaries are invisible to [`list`].
 ///
 /// [`list`]: StorageBackend::list
 #[derive(Debug, Clone)]
@@ -194,11 +200,28 @@ impl StorageBackend for DirBackend {
         let path = self.path_for(key)?;
         std::fs::create_dir_all(&self.root)
             .map_err(|e| StorageError::Backend(format!("mkdir {}: {e}", self.root.display())))?;
-        let tmp = self.root.join(format!(".{key}.tmp"));
-        std::fs::write(&tmp, data)
-            .map_err(|e| StorageError::Backend(format!("write {}: {e}", tmp.display())))?;
-        std::fs::rename(&tmp, &path)
-            .map_err(|e| StorageError::Backend(format!("rename to {}: {e}", path.display())))
+        // Process id plus a process-wide counter names a temporary no
+        // other put shares, at a fixed 29 bytes whatever the key's
+        // length. The counter publishes no other data: Relaxed suffices.
+        static PUTS: AtomicU64 = AtomicU64::new(0);
+        let tmp = self.root.join(format!(
+            ".{:08x}{:016x}.tmp",
+            std::process::id(),
+            PUTS.fetch_add(1, Ordering::Relaxed)
+        ));
+        let written = std::fs::File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(data)?;
+                f.sync_all()
+            })
+            .and_then(|()| std::fs::rename(&tmp, &path));
+        if let Err(e) = written {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(StorageError::Backend(format!("write {}: {e}", path.display())));
+        }
+        std::fs::File::open(&self.root)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| StorageError::Backend(format!("fsync {}: {e}", self.root.display())))
     }
 
     fn get(&self, key: &str) -> Result<Bytes, StorageError> {
@@ -323,6 +346,54 @@ mod tests {
         // object.
         std::fs::write(root.join(".obj2.tmp"), b"partial").unwrap();
         assert_eq!(backend.list("").unwrap(), vec!["obj".to_string()]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn dir_backend_round_trips_a_key_of_the_maximum_length() {
+        let root = std::env::temp_dir().join(format!("daspos-vault-max-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let backend = DirBackend::new(&root);
+        let key = "k".repeat(255);
+        let data = Bytes::from_static(b"longest portable key");
+        backend.put(&key, &data).unwrap();
+        assert_eq!(backend.get(&key).unwrap(), data);
+        assert_eq!(backend.list("").unwrap(), vec![key]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn concurrent_puts_of_one_key_leave_exactly_one_intact_payload() {
+        let root = std::env::temp_dir().join(format!("daspos-vault-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let backend = DirBackend::new(&root);
+        let payloads: Vec<Bytes> = (0..8u8)
+            .map(|t| Bytes::from(vec![t; 256 * 1024 + usize::from(t)]))
+            .collect();
+        let start = std::sync::Barrier::new(payloads.len());
+        std::thread::scope(|s| {
+            for p in &payloads {
+                let (backend, start) = (&backend, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..4 {
+                        backend.put("contended", p).unwrap();
+                    }
+                });
+            }
+        });
+        let stored = backend.get("contended").unwrap();
+        assert!(
+            payloads.contains(&stored),
+            "stored object of {} bytes is not any one writer's payload",
+            stored.len()
+        );
+        // Every temporary was renamed away: the directory holds the key alone.
+        let names: Vec<_> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("contended")]);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -22,17 +22,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
+use daspos_hep::seq::mix64;
 
 use crate::backend::{StorageBackend, StorageError};
-
-/// SplitMix64 finalizer — the same avalanche mix faultlab derives its
-/// mutation seeds with.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The misbehavior schedule of a [`FlakyBackend`].
 #[derive(Debug, Clone, PartialEq)]
@@ -92,7 +84,7 @@ impl FlakyBackend {
     /// Draw in [0, 1) for fault channel `channel` of the next operation.
     fn draw(&self, channel: u64) -> (u64, f64) {
         let op = self.ops.fetch_add(1, Ordering::Relaxed);
-        let raw = mix(self.config.seed ^ mix(op.wrapping_add(channel << 48)));
+        let raw = mix64(self.config.seed ^ mix64(op.wrapping_add(channel << 48)));
         (raw, (raw >> 11) as f64 / (1u64 << 53) as f64)
     }
 

@@ -12,7 +12,7 @@ use bytes::Bytes;
 use daspos::prelude::*;
 use daspos_reco::objects::AodEvent;
 use daspos_tiers::codec::{self, Encodable};
-use daspos_tiers::ColumnarFile;
+use daspos_tiers::{skim_slim_columnar, ColumnarFile};
 
 const SEED: u64 = 42;
 const EVENTS: u64 = 2000;
@@ -70,6 +70,23 @@ fn columnar_v2_is_strictly_smaller_than_v1_on_the_fixture() {
         "v2 columnar file ({v2} B) must be smaller than v1 ({v1} B), ratio {:.3}",
         v2 as f64 / v1 as f64
     );
+}
+
+/// `(length, fnv64)` of the fixture's columnar file and of its
+/// columnar skim under the workflow's own selection and slim, recorded
+/// before the v2 writer dropped its dictionary and RLE encodings. No
+/// fixture column ever chose either, so neither file may move.
+const FIXTURE_COLUMNAR: (usize, u64) = (207_192, 0xc6a6_a180_aa6c_7431);
+const FIXTURE_SKIM: (usize, u64) = (156_300, 0x8dee_e2b0_97f6_60a9);
+
+#[test]
+fn fixture_columnar_and_skim_bytes_are_pinned() {
+    let file = ColumnarFile::from_rows(aod_events());
+    assert_eq!((file.len(), codec::fnv64(&file)), FIXTURE_COLUMNAR);
+    let workflow = PreservedWorkflow::standard_z(Experiment::Cms, SEED, EVENTS);
+    let (skim, _) =
+        skim_slim_columnar(&file, &workflow.skim, &workflow.slim, None).expect("fixture skims");
+    assert_eq!((skim.len(), codec::fnv64(&skim)), FIXTURE_SKIM);
 }
 
 /// A 4+2 stripe tolerates two backend losses, as 3 replicas do, but

@@ -12,21 +12,15 @@ use bytes::Bytes;
 use daspos::obs::Obs;
 use daspos::serve::{expect_ok, ServeClient, ServeConfig, Server, Service};
 use daspos::vault::{MemoryBackend, ObjectKind, StorageBackend, Vault};
+use daspos_hep::seq::mix64;
 
-/// SplitMix64 — deterministic payload bytes without an RNG dependency.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
+/// SplitMix64-expanded deterministic payload bytes.
 fn payload(seed: u64, len: usize) -> Bytes {
     let mut out = Vec::with_capacity(len);
     let mut word = 0u64;
     for i in 0..len {
         if i % 8 == 0 {
-            word = mix(seed.wrapping_add((i / 8) as u64));
+            word = mix64(seed.wrapping_add((i / 8) as u64));
         }
         out.push((word >> ((i % 8) * 8)) as u8);
     }

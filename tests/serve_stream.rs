@@ -18,6 +18,8 @@ use daspos::serve::{
 };
 use daspos::vault::{MemoryBackend, ObjectKind, StorageBackend, Vault};
 use daspos::ErrorKind;
+use daspos_hep::seq::splitmix64;
+use daspos_tiers::codec::fnv64;
 use proptest::prelude::*;
 
 fn start(cfg: ServeConfig) -> (Server, Arc<Service>) {
@@ -44,12 +46,7 @@ fn payload(seed: u64, len: usize) -> Bytes {
     let mut out = Vec::with_capacity(len);
     let mut z = seed;
     while out.len() < len {
-        z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut w = z;
-        w = (w ^ (w >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        w = (w ^ (w >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        w ^= w >> 31;
-        out.extend_from_slice(&w.to_le_bytes());
+        out.extend_from_slice(&splitmix64(&mut z).to_le_bytes());
     }
     out.truncate(len);
     Bytes::from(out)
@@ -317,7 +314,7 @@ fn stream_misuse_is_rejected_without_corrupting_preserved_state() {
         total_len: 1024,
         chunk_size: 1024,
         chunks: 1,
-        digest: stream::fnv64_fold(stream::FNV_BASIS, &chunk0),
+        digest: fnv64(&chunk0),
     });
     let resp = atlas.request(&raw(Op::PutCommit, "atlas", &id, commit)).unwrap();
     assert_eq!(resp.status, Status::Ok, "detail: {}", resp.detail);

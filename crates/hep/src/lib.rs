@@ -11,7 +11,8 @@
 //! * [`hist`] — weighted histograms, the lingua franca of HEP results,
 //! * [`seq`] — deterministic seed derivation so every pipeline stage is
 //!   reproducible from a single master seed (a preservation requirement),
-//! * [`digest`] — FNV-1a 64, the one content digest every crate shares.
+//! * [`digest`] — FNV-1a 64, the one content digest every crate shares,
+//! * [`json`] — the one JSON engine (outreach `ig` files, trace JSONL).
 //!
 //! The DASPOS report (§3.1) stresses that "all high energy physics studies
 //! are statistical in nature, where ensembles of events are considered and
@@ -24,6 +25,7 @@ pub mod event;
 pub mod fourvec;
 pub mod hist;
 pub mod ids;
+pub mod json;
 pub mod particle;
 pub mod seq;
 pub mod stats;

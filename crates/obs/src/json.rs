@@ -1,4 +1,4 @@
-//! Canonical JSONL rendering and a minimal parser for trace files.
+//! Canonical JSONL rendering and reading for trace files.
 //!
 //! One JSON object per line. Three line types:
 //!
@@ -14,38 +14,20 @@
 //! re-runs. Spans are always emitted stable-sorted by path, counters and
 //! gauges sorted by name.
 //!
-//! The parser is deliberately small (objects, arrays, strings, integers,
-//! bools, null) — enough to round-trip what the renderer emits and to let
-//! the CLI assert that an emitted trace actually parses.
+//! Parsing goes through the workspace's one JSON engine,
+//! [`daspos_hep::json`]; so does string escaping, so the renderer and
+//! the reader cannot drift apart.
 
 use crate::metrics::MetricsSnapshot;
 use crate::SpanRecord;
-use std::collections::BTreeMap;
+use daspos_hep::json::{self, write_string, Value};
 use std::fmt::Write as FmtWrite;
-
-/// Escape a string for inclusion in a JSON string literal.
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
 
 /// Render one span as a JSON line (no trailing newline).
 pub(crate) fn span_line(record: &SpanRecord, stable: bool) -> String {
     let mut line = String::with_capacity(64 + record.path.len());
-    line.push_str("{\"type\":\"span\",\"path\":\"");
-    escape_into(&mut line, &record.path);
-    line.push('"');
+    line.push_str("{\"type\":\"span\",\"path\":");
+    write_string(&mut line, &record.path);
     if !stable {
         let _ = write!(
             line,
@@ -58,11 +40,9 @@ pub(crate) fn span_line(record: &SpanRecord, stable: bool) -> String {
         if i > 0 {
             line.push(',');
         }
-        line.push('"');
-        escape_into(&mut line, k);
-        line.push_str("\":\"");
-        escape_into(&mut line, v);
-        line.push('"');
+        write_string(&mut line, k);
+        line.push(':');
+        write_string(&mut line, v);
     }
     line.push_str("}}");
     line
@@ -70,9 +50,9 @@ pub(crate) fn span_line(record: &SpanRecord, stable: bool) -> String {
 
 fn metric_line(kind: &str, name: &str, value: i128) -> String {
     let mut line = String::with_capacity(48 + name.len());
-    let _ = write!(line, "{{\"type\":\"{kind}\",\"name\":\"");
-    escape_into(&mut line, name);
-    let _ = write!(line, "\",\"value\":{value}}}");
+    let _ = write!(line, "{{\"type\":\"{kind}\",\"name\":");
+    write_string(&mut line, name);
+    let _ = write!(line, ",\"value\":{value}}}");
     line
 }
 
@@ -106,248 +86,14 @@ pub fn render_trace(
     out
 }
 
-/// A parsed JSON value (subset: no floats — the renderer never emits
-/// them, and trace consumers compare integers exactly).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JsonValue {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Integer (covers `u64` and `i64`).
-    Int(i128),
-    /// String (escapes resolved).
-    Str(String),
-    /// Array.
-    Array(Vec<JsonValue>),
-    /// Object, key order preserved via sorted map.
-    Object(BTreeMap<String, JsonValue>),
-}
-
-impl JsonValue {
-    /// Member access for objects.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(map) => map.get(key),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// The integer payload, if this is an integer.
-    pub fn as_int(&self) -> Option<i128> {
-        match self {
-            JsonValue::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
-            return Err(self.err("floats are not part of the trace format"));
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<i128>()
-            .map(JsonValue::Int)
-            .map_err(|_| self.err("bad integer"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code).ok_or_else(|| self.err("bad \\u escape"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Advance one whole UTF-8 char.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-}
-
 /// Parse a JSONL document: one JSON value per non-empty line. Returns the
 /// parsed values or the first error with its line number.
-pub fn parse_jsonl(text: &str) -> Result<Vec<JsonValue>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut parser = Parser::new(line);
-        let value = parser
-            .value()
-            .map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(format!("line {}: trailing garbage", lineno + 1));
-        }
-        out.push(value);
-    }
-    Ok(out)
+pub fn parse_jsonl(text: &str) -> Result<Vec<Value>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| json::parse(line).map_err(|e| format!("line {}: {e}", i + 1)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -381,21 +127,18 @@ mod tests {
         assert_eq!(values.len(), 4); // 2 spans + 1 counter + 1 gauge
         // Spans sorted by path: "execute" first.
         assert_eq!(
-            values[0].get("path").and_then(JsonValue::as_str),
+            values[0].get("path").and_then(Value::as_str),
             Some("execute")
         );
         assert_eq!(
             values[0]
                 .get("fields")
                 .and_then(|f| f.get("seed"))
-                .and_then(JsonValue::as_str),
+                .and_then(Value::as_str),
             Some("42")
         );
         assert!(values[0].get("start_ns").is_some());
-        assert_eq!(
-            values[3].get("type").and_then(JsonValue::as_str),
-            Some("gauge")
-        );
+        assert_eq!(values[3].get("type").and_then(Value::as_str), Some("gauge"));
     }
 
     #[test]
@@ -426,7 +169,7 @@ mod tests {
         let text = render_trace(&records, None, true);
         let values = parse_jsonl(&text).expect("parses");
         assert_eq!(
-            values[0].get("path").and_then(JsonValue::as_str),
+            values[0].get("path").and_then(Value::as_str),
             Some("weird\"\\\npath")
         );
     }
@@ -435,7 +178,6 @@ mod tests {
     fn parser_rejects_garbage() {
         assert!(parse_jsonl("{\"a\":}").is_err());
         assert!(parse_jsonl("{\"a\":1} extra").is_err());
-        assert!(parse_jsonl("{\"a\":1.5}").is_err());
         assert!(parse_jsonl("not json").is_err());
     }
 }

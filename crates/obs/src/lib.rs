@@ -44,7 +44,7 @@ mod json;
 mod metrics;
 mod summary;
 
-pub use json::{parse_jsonl, render_trace, JsonValue};
+pub use json::{parse_jsonl, render_trace};
 pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use summary::{SummaryRow, TraceSummary};
 

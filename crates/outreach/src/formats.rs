@@ -10,7 +10,7 @@
 //! * **compact** (ALICE/LHCb-like): terse positional text, *not*
 //!   self-documenting — you need the experiment's codebook.
 
-use crate::json::{parse, Value};
+use daspos_hep::json::{parse, Value};
 
 /// A simplified physics object for outreach use.
 #[derive(Debug, Clone, Copy, PartialEq)]

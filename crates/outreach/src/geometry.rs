@@ -6,7 +6,7 @@
 
 use daspos_detsim::config::DetectorConfig;
 
-use crate::json::Value;
+use daspos_hep::json::Value;
 
 /// One cylindrical detector volume (barrel layer, calorimeter shell…).
 #[derive(Debug, Clone, PartialEq)]
@@ -143,16 +143,16 @@ mod tests {
         assert!(xml.contains("<geometry experiment=\"atlas\""));
         assert!(xml.contains("tracker-layer-0"));
         let json = geo.to_json();
-        let parsed = crate::json::parse(&json).unwrap();
+        let parsed = daspos_hep::json::parse(&json).unwrap();
         assert_eq!(
-            parsed.get("experiment").and_then(crate::json::Value::as_str),
+            parsed.get("experiment").and_then(daspos_hep::json::Value::as_str),
             Some("atlas")
         );
         assert!(
             parsed
                 .get("volumes")
-                .and_then(crate::json::Value::as_array)
-                .map(<[crate::json::Value]>::len)
+                .and_then(daspos_hep::json::Value::as_array)
+                .map(<[daspos_hep::json::Value]>::len)
                 .unwrap_or(0)
                 > 5
         );

@@ -8,10 +8,9 @@
 //! AOD …) into a simplified representation that can be used for further
 //! analysis or visualization"* (the Finland converter).
 //!
-//! * [`json`] — a minimal from-scratch JSON implementation (the `ig`
-//!   format carrier),
 //! * [`formats`] — the simplified event model and its three carriers:
-//!   ig-JSON (CMS-like, self-documenting), event-XML (ATLAS Jive-like),
+//!   ig-JSON (CMS-like, self-documenting, read and written through
+//!   [`daspos_hep::json`]), event-XML (ATLAS Jive-like),
 //!   and a compact binary-ish text (ALICE/LHCb-like, not
 //!   self-documenting),
 //! * [`geometry`] — per-experiment display geometry descriptions,
@@ -28,7 +27,6 @@ pub mod display;
 pub mod experiments;
 pub mod formats;
 pub mod geometry;
-pub mod json;
 pub mod masterclass;
 
 pub use convert::convert_aod;

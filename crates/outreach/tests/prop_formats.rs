@@ -1,7 +1,7 @@
 //! Property tests: JSON engine and outreach format round-trips.
 
+use daspos_hep::json::{parse, Value};
 use daspos_outreach::formats::{OutreachFormat, SimpleKind, SimpleParticle, SimplifiedEvent};
-use daspos_outreach::json::{parse, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 

@@ -9,8 +9,8 @@
 //! and folds the whole-object fnv64 digest incrementally, so a 64 MiB
 //! round trip peaks at O(chunk) memory on this side too.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -23,7 +23,7 @@ use crate::proto::{
 };
 use crate::server::ServeError;
 use crate::stream;
-use crate::wire::{self, ReadFrame};
+use crate::wire::{self, WireError};
 
 /// Default per-response wait before a client declares the server hung.
 pub const DEFAULT_OP_TIMEOUT: Duration = Duration::from_secs(10);
@@ -139,16 +139,28 @@ impl ServeClient {
     /// protocol failures are errors; non-OK *statuses* are data (the
     /// caller decides whether `NotFound` or `Overloaded` is exceptional).
     /// This is the raw primitive — it never retries.
+    ///
+    /// A response not complete within the op timeout fails the op and
+    /// closes the session: the stream is out of step after a cut frame.
     pub fn request(&mut self, req: &Request) -> Result<Response, ServeError> {
-        wire::write_frame(&mut self.stream, &encode_request(req))?;
-        match wire::read_frame(&mut self.stream)? {
-            ReadFrame::Sealed(sealed) => Ok(decode_response(&sealed)?),
-            ReadFrame::Eof => Err(ServeError::Io(
+        let read = wire::write_frame(&mut self.stream, &encode_request(req))
+            .and_then(|()| wire::read_frame(&mut self.stream));
+        match read {
+            Ok(Some(sealed)) => Ok(decode_response(&sealed)?),
+            Ok(None) => Err(ServeError::Io(
                 "server closed the connection before responding".to_string(),
             )),
-            ReadFrame::Idle => Err(ServeError::Io(
-                "timed out waiting for a response".to_string(),
-            )),
+            Err(e) => {
+                let _ = self.stream.shutdown(Shutdown::Both);
+                Err(match e {
+                    WireError::Io(io)
+                        if matches!(io.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+                    {
+                        ServeError::Io("timed out waiting for a response".to_string())
+                    }
+                    e => e.into(),
+                })
+            }
         }
     }
 
@@ -415,5 +427,57 @@ pub fn expect_ok(resp: Response) -> Result<Response, ServeError> {
             status,
             detail: resp.detail,
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+    use std::time::Instant;
+
+    /// A fake server that reads the request, answers with `partial`
+    /// (a frame cut short) and then stalls until the test is done.
+    fn stat_against_a_stalling_server(
+        partial: Vec<u8>,
+    ) -> (Result<Response, ServeError>, Duration) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (done, stalled) = mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let mut request = [0u8; 64];
+            let _ = sock.read(&mut request).unwrap();
+            sock.write_all(&partial).unwrap();
+            sock.flush().unwrap();
+            let _ = stalled.recv_timeout(Duration::from_secs(60));
+        });
+        let mut client = ServeClient::builder("cms")
+            .op_timeout(Duration::from_millis(100))
+            .connect(&addr)
+            .unwrap();
+        let start = Instant::now();
+        let result = client.stat();
+        let took = start.elapsed();
+        done.send(()).unwrap();
+        server.join().unwrap();
+        (result, took)
+    }
+
+    #[test]
+    fn op_timeout_bounds_a_stall_inside_the_length_prefix() {
+        let (result, took) = stat_against_a_stalling_server(vec![200, 0]);
+        assert!(result.is_err(), "{result:?}");
+        assert!(took < Duration::from_secs(2), "stat took {took:?}");
+    }
+
+    #[test]
+    fn op_timeout_bounds_a_stall_inside_the_frame_body() {
+        let mut partial = 200u32.to_le_bytes().to_vec();
+        partial.extend_from_slice(b"DPSL-half-a-body");
+        let (result, took) = stat_against_a_stalling_server(partial);
+        assert!(result.is_err(), "{result:?}");
+        assert!(took < Duration::from_secs(2), "stat took {took:?}");
     }
 }

@@ -17,7 +17,8 @@
 //! - [`server`] — [`Service`] (admission-controlled op handling over one
 //!   shared vault, per-tenant namespaces and [`Quota`]s, graceful drain)
 //!   and [`Server`] (a fixed worker pool multiplexing every accepted
-//!   connection — idle connections pin no thread — plus a background
+//!   connection — idle connections pin no thread, though each one
+//!   lengthens the sweep busy connections wait behind — plus a background
 //!   scrubber that yields to foreground traffic).
 //! - [`client`] — the blocking [`ServeClient`], configured through
 //!   [`ServeClient::builder`].

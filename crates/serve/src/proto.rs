@@ -390,14 +390,27 @@ fn need(buf: &Bytes, n: usize) -> Result<(), ProtoError> {
 /// bytes actually remaining *before* slicing — a forged length cannot
 /// drive an allocation.
 fn take(buf: &mut Bytes, declared: usize) -> Result<Bytes, ProtoError> {
+    need(buf, within_frame_cap(declared)?)?;
+    Ok(buf.split_to(declared))
+}
+
+/// `declared` itself if it fits under [`MAX_FRAME_BYTES`].
+fn within_frame_cap(declared: usize) -> Result<usize, ProtoError> {
     if declared > MAX_FRAME_BYTES {
         return Err(ProtoError::Oversized {
             declared,
             limit: MAX_FRAME_BYTES,
         });
     }
-    need(buf, declared)?;
-    Ok(buf.split_to(declared))
+    Ok(declared)
+}
+
+/// The sealed-body length a frame's 4-byte little-endian prefix
+/// declares, checked against [`MAX_FRAME_BYTES`] before a single body
+/// byte is buffered. The one frame-length check: the client, the
+/// server's connection mux and [`split_frame`] all read prefixes here.
+pub fn frame_len(prefix: [u8; 4]) -> Result<usize, ProtoError> {
+    within_frame_cap(u32::from_le_bytes(prefix) as usize)
 }
 
 fn take_text(buf: &mut Bytes, declared: usize) -> Result<String, ProtoError> {
@@ -452,12 +465,7 @@ fn frame(body: &Bytes) -> Bytes {
 /// Unseal a frame body (the bytes *after* the length prefix) and hand
 /// back the plain body for parsing.
 fn unseal_body(sealed: &Bytes) -> Result<Bytes, ProtoError> {
-    if sealed.len() > MAX_FRAME_BYTES {
-        return Err(ProtoError::Oversized {
-            declared: sealed.len(),
-            limit: MAX_FRAME_BYTES,
-        });
-    }
+    within_frame_cap(sealed.len())?;
     codec::unseal(sealed).map_err(ProtoError::Seal)
 }
 
@@ -539,17 +547,12 @@ pub fn decode_response(sealed: &Bytes) -> Result<Response, ProtoError> {
 /// the total frame size consumed. Used by tests and the fault class; the
 /// live server reads the prefix straight off the socket.
 pub fn split_frame(wire: &Bytes) -> Result<(Bytes, usize), ProtoError> {
-    let mut b = wire.clone();
-    need(&b, 4)?;
-    let declared = b.get_u32_le() as usize;
-    if declared > MAX_FRAME_BYTES {
-        return Err(ProtoError::Oversized {
-            declared,
-            limit: MAX_FRAME_BYTES,
-        });
+    let prefix = wire.first_chunk::<4>().ok_or(ProtoError::Truncated)?;
+    let end = 4 + frame_len(*prefix)?;
+    if wire.len() < end {
+        return Err(ProtoError::Truncated);
     }
-    need(&b, declared)?;
-    Ok((b.split_to(declared), 4 + declared))
+    Ok((wire.slice(4..end), end))
 }
 
 #[cfg(test)]

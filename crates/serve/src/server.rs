@@ -17,8 +17,10 @@
 //!   connection into a shared ready queue; a fixed pool of
 //!   [`pool_size`](ServeConfig::pool_size) workers cycles through the
 //!   queue, draining readable bytes, answering complete frames, and
-//!   requeueing the connection. Idle connections cost no thread, so N
-//!   connections ≫ pool size serve correctly. A background scrubber
+//!   requeueing the connection. Idle connections pin no thread, so N
+//!   connections ≫ pool size serve correctly, but every idle one
+//!   lengthens the sweep a busy connection waits behind: busy-op
+//!   latency grows with the idle count (DESIGN §16). A background scrubber
 //!   walks one object per tick, *yielding* whenever foreground ops are
 //!   in flight (`serve.scrub.yields`).
 //!

@@ -1,42 +1,23 @@
-//! Blocking frame I/O over a `TcpStream`.
+//! Blocking frame I/O over a `TcpStream`, the client's side of the
+//! protocol.
 //!
-//! Both ends of the protocol read frames the same way: a 4-byte length
-//! prefix, checked against [`MAX_FRAME_BYTES`] before a single body byte
-//! is buffered, then the sealed body. Streams are expected to carry a
-//! short read timeout (the server uses ~50 ms) so blocked readers can
-//! poll their shutdown flag: a timeout with *nothing* read surfaces as
-//! [`ReadFrame::Idle`] and hands control back to the caller, while a
-//! timeout *mid-frame* keeps draining — a frame that has started to
-//! arrive is finished or failed, never half-consumed (that would desync
-//! the stream). A reader stalled mid-frame for [`STALL_LIMIT`]
-//! consecutive timeouts gives up with an I/O error.
+//! A frame is a 4-byte length prefix, checked by [`frame_len`] before a
+//! single body byte is buffered, then the sealed body. The stream's read
+//! timeout bounds every read: a peer that stalls before or in the middle
+//! of a frame fails the read with that timeout. A frame cut short leaves
+//! the stream out of step, so the caller must drop the connection.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 
 use bytes::Bytes;
 
-use crate::proto::{ProtoError, MAX_FRAME_BYTES};
-
-/// Consecutive zero-progress timeouts tolerated mid-frame before the
-/// connection is declared dead (with a 50 ms poll interval ≈ 10 s).
-pub const STALL_LIMIT: u32 = 200;
-
-/// The outcome of one frame-read attempt.
-#[derive(Debug)]
-pub enum ReadFrame {
-    /// A complete sealed frame body (length prefix stripped).
-    Sealed(Bytes),
-    /// The peer closed the connection cleanly between frames.
-    Eof,
-    /// Read timeout with no bytes consumed — poll shutdown and retry.
-    Idle,
-}
+use crate::proto::{frame_len, ProtoError};
 
 /// A transport-layer failure while reading a frame.
 #[derive(Debug)]
 pub enum WireError {
-    /// Socket-level failure (reset, stall, mid-frame EOF).
+    /// Socket-level failure (reset, timeout, mid-frame EOF).
     Io(std::io::Error),
     /// The length prefix itself was inadmissible (over the frame cap).
     Proto(ProtoError),
@@ -51,80 +32,27 @@ impl std::fmt::Display for WireError {
     }
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Fill `buf` completely, riding out timeouts (up to [`STALL_LIMIT`]
-/// zero-progress rounds) and `Interrupted`. `allow_idle` makes a timeout
-/// before the *first* byte report idleness instead of stalling.
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    allow_idle: bool,
-) -> Result<Option<()>, WireError> {
-    let mut got = 0usize;
-    let mut stalls = 0u32;
-    while got < buf.len() {
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => {
-                return if got == 0 && allow_idle {
-                    // Clean EOF between frames; the caller maps this.
-                    Ok(None)
-                } else {
-                    Err(WireError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "connection closed mid-frame",
-                    )))
-                };
-            }
-            Ok(n) => {
-                got += n;
-                stalls = 0;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) if is_timeout(&e) => {
-                if got == 0 && allow_idle {
-                    return Err(WireError::Io(e)); // mapped to Idle by caller
-                }
-                stalls += 1;
-                if stalls >= STALL_LIMIT {
-                    return Err(WireError::Io(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "peer stalled mid-frame",
-                    )));
-                }
-            }
+/// Read one sealed frame body (length prefix stripped). `Ok(None)` means
+/// the peer closed the connection cleanly before the frame began.
+pub fn read_frame(stream: &mut TcpStream) -> Result<Option<Bytes>, WireError> {
+    let mut prefix = [0u8; 4];
+    let first = loop {
+        match stream.read(&mut prefix) {
+            Ok(n) => break n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(WireError::Io(e)),
         }
+    };
+    if first == 0 {
+        return Ok(None);
     }
-    Ok(Some(()))
-}
-
-/// Read one frame. Requires a read timeout on the stream if the caller
-/// wants [`ReadFrame::Idle`] polling; with no timeout this simply blocks.
-pub fn read_frame(stream: &mut TcpStream) -> Result<ReadFrame, WireError> {
-    let mut prefix = [0u8; 4];
-    match read_full(stream, &mut prefix, true) {
-        Ok(None) => return Ok(ReadFrame::Eof),
-        Ok(Some(())) => {}
-        Err(WireError::Io(e)) if is_timeout(&e) => return Ok(ReadFrame::Idle),
-        Err(e) => return Err(e),
-    }
-    let declared = u32::from_le_bytes(prefix) as usize;
-    if declared > MAX_FRAME_BYTES {
-        return Err(WireError::Proto(ProtoError::Oversized {
-            declared,
-            limit: MAX_FRAME_BYTES,
-        }));
-    }
-    // Allocation is bounded: `declared` is already under the frame cap.
-    let mut raw = vec![0u8; declared];
-    read_full(stream, &mut raw, false)?;
-    Ok(ReadFrame::Sealed(Bytes::from(raw)))
+    stream
+        .read_exact(&mut prefix[first..])
+        .map_err(WireError::Io)?;
+    // Allocation is bounded: `frame_len` caps the declared length.
+    let mut raw = vec![0u8; frame_len(prefix).map_err(WireError::Proto)?];
+    stream.read_exact(&mut raw).map_err(WireError::Io)?;
+    Ok(Some(Bytes::from(raw)))
 }
 
 /// Write one whole frame (length prefix included).

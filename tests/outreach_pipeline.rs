@@ -135,7 +135,7 @@ fn geometry_descriptions_differ_per_experiment_but_one_display_reads_all() {
     }
     // JSON form parses back through the generic JSON module for each.
     for geo in &geometries {
-        let parsed = daspos_outreach::json::parse(&geo.to_json()).expect("valid json");
+        let parsed = daspos_hep::json::parse(&geo.to_json()).expect("valid json");
         assert!(parsed.get("volumes").is_some());
     }
 }

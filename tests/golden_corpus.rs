@@ -8,7 +8,9 @@
 //! the corpus **byte-for-byte**, then decodes and validates the stored
 //! artifacts themselves — so any unintended change to event generation,
 //! simulation, codec layout, sealing, or container format shows up as a
-//! corpus diff, not as silent drift.
+//! corpus diff, not as silent drift. `chain-digests.txt` pins the
+//! LHCb charm chain and the ATLAS and ALICE Z chains by fnv64 of their
+//! AOD, skim, ntuple and results.
 //!
 //! After an *intended* format change, refresh the corpus with
 //!
@@ -144,6 +146,79 @@ fn corpus_bytes_do_not_depend_on_threads_or_working_directory() {
         reference,
         "corpus differs when run from {}",
         elsewhere.display()
+    );
+}
+
+/// Events per workflow in the digest-only chain goldens.
+const DIGEST_EVENTS: u64 = 256;
+
+/// The chains the byte corpus above does not cover, pinned by digest
+/// only: LHCb charm (vertexing, the forward calorimeter) and Z on the
+/// ATLAS and ALICE geometries (their jets, clusters and tracking).
+fn chain_digests() -> String {
+    let workflows = [
+        ("lhcb-charm", PreservedWorkflow::standard_charm(GOLDEN_SEED, DIGEST_EVENTS)),
+        (
+            "atlas-z",
+            PreservedWorkflow::standard_z(Experiment::Atlas, GOLDEN_SEED, DIGEST_EVENTS),
+        ),
+        (
+            "alice-z",
+            PreservedWorkflow::standard_z(Experiment::Alice, GOLDEN_SEED, DIGEST_EVENTS),
+        ),
+    ];
+    let mut index = String::new();
+    for (name, workflow) in workflows {
+        let ctx = ExecutionContext::fresh(&workflow);
+        let output = workflow
+            .execute(&ctx, &ExecOptions::default())
+            .expect("chain executes");
+        let skim: Vec<u8> = ctx
+            .catalog
+            .get(output.skim_dataset)
+            .expect("skim dataset")
+            .file_data()
+            .flat_map(|data| data.iter().copied())
+            .collect();
+        let mut ntuple = Vec::new();
+        for i in 0..output.ntuple.n_rows() {
+            for v in output.ntuple.row(i) {
+                ntuple.extend_from_slice(&v.to_bits().to_le_bytes());
+            }
+        }
+        let artifacts = [
+            ("aod", AodEvent::encode_events(&output.aod_events).to_vec()),
+            ("skim", skim),
+            ("ntuple", ntuple),
+            ("results", output.results_to_text().into_bytes()),
+        ];
+        for (tier, data) in artifacts {
+            index.push_str(&format!(
+                "{name}.{tier} {:016x} {}\n",
+                fnv64(&data),
+                data.len()
+            ));
+        }
+    }
+    index
+}
+
+/// The digest-only goldens in `tests/golden/chain-digests.txt` are
+/// reproduced exactly (refreshed together with the byte corpus).
+#[test]
+fn chain_digests_are_reproduced() {
+    let path = golden_dir().join("chain-digests.txt");
+    let rebuilt = chain_digests();
+    if std::env::var_os("DASPOS_GOLDEN_REFRESH").is_some() {
+        std::fs::write(&path, &rebuilt).expect("write chain digests");
+        return;
+    }
+    let stored = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    assert_eq!(
+        stored, rebuilt,
+        "chain digests drifted — if the change is intended, refresh with \
+         DASPOS_GOLDEN_REFRESH=1"
     );
 }
 

@@ -7,7 +7,6 @@
 //! reconstruction to undo the scales — losing the tag loses physics, which
 //! is exactly the preservation hazard DASPOS addresses.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use daspos_hep::event::TruthEvent;
@@ -15,18 +14,40 @@ use daspos_hep::fourvec::FourVector;
 use daspos_hep::seq::SeedSequence;
 use daspos_hep::stats;
 use daspos_conditions::{ConditionsError, ConditionsSource, IovKey};
+use daspos_obs::{Gauge, SectionClock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::DetectorConfig;
 use crate::raw::{CaloCell, MuonHit, RawEvent, TrackerHit};
 
+/// Sub-stage timing gauges, indexed by the constants below.
+const SUB_STAGES: [&str; 3] = [
+    "time.detsim.tracker_ns",
+    "time.detsim.calo_ns",
+    "time.detsim.noise_ns",
+];
+const TRACKER: usize = 0;
+const CALO: usize = 1;
+const NOISE: usize = 2;
+
 /// The detector simulation for one experiment.
 pub struct DetectorSimulation {
     config: DetectorConfig,
     conditions: Arc<dyn ConditionsSource>,
     seeds: SeedSequence,
+    /// The `ecal/gain`, `hcal/gain` and `tracker/alignment-scale` keys,
+    /// built once.
+    keys: [IovKey; 3],
     simulated: Option<daspos_obs::Counter>,
+    clocks: Option<[Gauge; 3]>,
+}
+
+/// One particle's (or one noise hit's) calibrated energy in a tower.
+struct TowerDeposit {
+    key: (i32, i32),
+    em: f64,
+    had: f64,
 }
 
 impl DetectorSimulation {
@@ -41,14 +62,24 @@ impl DetectorSimulation {
             config,
             conditions,
             seeds,
+            keys: [
+                IovKey::new("ecal/gain"),
+                IovKey::new("hcal/gain"),
+                IovKey::new("tracker/alignment-scale"),
+            ],
             simulated: None,
+            clocks: None,
         }
     }
 
     /// Count every successfully simulated event into `registry`'s
-    /// `events.simulated` counter.
+    /// `events.simulated` counter, and sum the wall-clock time of track
+    /// tracing, calorimeter deposits (towers included) and noise into the
+    /// volatile `time.detsim.{tracker,calo,noise}_ns` gauges. Without a
+    /// registry no clock is read.
     pub fn with_metrics(mut self, registry: &daspos_obs::MetricsRegistry) -> Self {
         self.simulated = Some(registry.counter("events.simulated"));
+        self.clocks = Some(SUB_STAGES.map(|name| registry.gauge(name)));
         self
     }
 
@@ -76,26 +107,17 @@ impl DetectorSimulation {
         event_index: u64,
     ) -> Result<RawEvent, ConditionsError> {
         let run = truth.header.run.0;
-        let ecal_gain = self
-            .conditions
-            .get(&IovKey::new("ecal/gain"), run)?
-            .as_scalar()
-            .unwrap_or(1.0);
-        let hcal_gain = self
-            .conditions
-            .get(&IovKey::new("hcal/gain"), run)?
-            .as_scalar()
-            .unwrap_or(1.0);
-        let align = self
-            .conditions
-            .get(&IovKey::new("tracker/alignment-scale"), run)?
-            .as_scalar()
-            .unwrap_or(1.0);
+        let [ecal_key, hcal_key, align_key] = &self.keys;
+        let ecal_gain = self.conditions.get(ecal_key, run)?.as_scalar().unwrap_or(1.0);
+        let hcal_gain = self.conditions.get(hcal_key, run)?.as_scalar().unwrap_or(1.0);
+        let align = self.conditions.get(align_key, run)?.as_scalar().unwrap_or(1.0);
 
         let mut rng = StdRng::seed_from_u64(self.seeds.event("detsim", event_index));
         let mut raw = RawEvent::new(truth.header);
-        // Accumulate calo deposits per tower before smearing-threshold.
-        let mut towers: BTreeMap<(i32, i32), (f64, f64)> = BTreeMap::new();
+        let mut clock = SectionClock::new(self.clocks.as_ref());
+        // Calo (EM, hadronic) deposits per tower, in deposit order; summed
+        // per tower before the threshold.
+        let mut deposits: Vec<TowerDeposit> = Vec::new();
         let mut stub: u32 = 0;
 
         for (truth_idx, p) in truth.particles.iter().enumerate() {
@@ -114,8 +136,9 @@ impl DetectorSimulation {
                 && self.config.in_tracker(eta)
                 && mom.pt() >= self.config.tracker.pt_min
             {
-                let hits =
-                    self.trace_track(&mut rng, mom, &p.production_vertex, charge, stub, align);
+                let hits = clock.time(TRACKER, || {
+                    self.trace_track(&mut rng, mom, &p.production_vertex, charge, stub, align)
+                });
                 if hits.len() >= 3 {
                     raw.tracker_hits.extend(hits);
                     raw.truth_links.push(truth_idx as u32);
@@ -125,13 +148,16 @@ impl DetectorSimulation {
 
             // --- Calorimeter -----------------------------------------------
             if self.config.in_calo(eta) {
-                let (em_dep, had_dep) = self.calo_deposit(&mut rng, p.pdg, mom);
-                if em_dep + had_dep > 0.0 {
-                    let key = self.tower_of(eta, mom.phi());
-                    let entry = towers.entry(key).or_insert((0.0, 0.0));
-                    entry.0 += em_dep * ecal_gain;
-                    entry.1 += had_dep * hcal_gain;
-                }
+                clock.time(CALO, || {
+                    let (em_dep, had_dep) = self.calo_deposit(&mut rng, p.pdg, mom);
+                    if em_dep + had_dep > 0.0 {
+                        deposits.push(TowerDeposit {
+                            key: self.tower_of(eta, mom.phi()),
+                            em: em_dep * ecal_gain,
+                            had: had_dep * hcal_gain,
+                        });
+                    }
+                });
             }
 
             // --- Muon system -----------------------------------------------
@@ -162,30 +188,47 @@ impl DetectorSimulation {
         }
 
         // --- Noise ---------------------------------------------------------
-        let n_noise = stats::poisson(&mut rng, self.config.calo.noise_towers).unwrap_or(0);
-        for _ in 0..n_noise {
-            let eta = rng.gen_range(self.config.calo.eta_min..self.config.calo.eta_max);
-            let phi = stats::uniform_phi(&mut rng);
-            let e = stats::exponential(&mut rng, self.config.calo.noise_energy).unwrap_or(0.0);
-            let key = self.tower_of(eta, phi);
-            let entry = towers.entry(key).or_insert((0.0, 0.0));
-            if stats::accept(&mut rng, 0.5) {
-                entry.0 += e;
-            } else {
-                entry.1 += e;
+        clock.time(NOISE, || {
+            let n_noise = stats::poisson(&mut rng, self.config.calo.noise_towers).unwrap_or(0);
+            for _ in 0..n_noise {
+                let eta = rng.gen_range(self.config.calo.eta_min..self.config.calo.eta_max);
+                let phi = stats::uniform_phi(&mut rng);
+                let e = stats::exponential(&mut rng, self.config.calo.noise_energy).unwrap_or(0.0);
+                let key = self.tower_of(eta, phi);
+                // The other compartment gets +0.0, which leaves a tower sum
+                // (never −0.0) unchanged.
+                let (em, had) = if stats::accept(&mut rng, 0.5) {
+                    (e, 0.0)
+                } else {
+                    (0.0, e)
+                };
+                deposits.push(TowerDeposit { key, em, had });
             }
-        }
+        });
 
-        for ((ieta, iphi), (em, had)) in towers {
-            if em + had >= self.config.calo.cell_threshold {
-                raw.calo_cells.push(CaloCell {
-                    ieta,
-                    iphi,
-                    em,
-                    had,
-                });
+        // --- Towers ----------------------------------------------------------
+        // A stable sort keeps each tower's deposits in deposit order, so
+        // every tower is the same sum of the same terms in the same order.
+        clock.time(CALO, || {
+            deposits.sort_by_key(|d| d.key);
+            for run in deposits.chunk_by(|a, b| a.key == b.key) {
+                let (mut em, mut had) = (0.0, 0.0);
+                for d in run {
+                    em += d.em;
+                    had += d.had;
+                }
+                if em + had >= self.config.calo.cell_threshold {
+                    let (ieta, iphi) = run[0].key;
+                    raw.calo_cells.push(CaloCell {
+                        ieta,
+                        iphi,
+                        em,
+                        had,
+                    });
+                }
             }
-        }
+        });
+        clock.finish();
         if let Some(counter) = &self.simulated {
             counter.inc();
         }
@@ -326,6 +369,7 @@ mod tests {
     use daspos_conditions::{ConditionsStore, DbSource, Payload, RunRange};
     use daspos_gen::{EventGenerator, GeneratorConfig};
     use daspos_hep::event::ProcessKind;
+    use std::collections::BTreeMap;
 
     fn conditions() -> Arc<ConditionsStore> {
         let s = Arc::new(ConditionsStore::new());

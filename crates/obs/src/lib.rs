@@ -45,7 +45,7 @@ mod metrics;
 mod summary;
 
 pub use json::{parse_jsonl, render_trace};
-pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, SectionClock};
 pub use summary::{SummaryRow, TraceSummary};
 
 /// The stages of the preservation chain, shared between span taxonomy and

@@ -58,6 +58,46 @@ impl Gauge {
     }
 }
 
+/// Sums the wall-clock time of code sections into `N` gauges.
+///
+/// Sections add to local totals, which [`SectionClock::finish`] adds to
+/// the gauges once, so a section run per particle costs no atomic.
+/// Built from `None` (no registry attached) the clock never reads the
+/// time: each section then costs one branch.
+#[derive(Debug)]
+pub struct SectionClock<'a, const N: usize> {
+    gauges: Option<&'a [Gauge; N]>,
+    ns: [i64; N],
+}
+
+impl<'a, const N: usize> SectionClock<'a, N> {
+    /// A clock feeding `gauges`, or a disarmed one.
+    pub fn new(gauges: Option<&'a [Gauge; N]>) -> Self {
+        SectionClock { gauges, ns: [0; N] }
+    }
+
+    /// Run `f`, charging its wall-clock time to section `section`.
+    #[inline]
+    pub fn time<T>(&mut self, section: usize, f: impl FnOnce() -> T) -> T {
+        if self.gauges.is_none() {
+            return f();
+        }
+        let start = std::time::Instant::now();
+        let out = f();
+        self.ns[section] += start.elapsed().as_nanos() as i64;
+        out
+    }
+
+    /// Add the section totals to their gauges.
+    pub fn finish(self) {
+        if let Some(gauges) = self.gauges {
+            for (gauge, ns) in gauges.iter().zip(self.ns) {
+                gauge.add(ns);
+            }
+        }
+    }
+}
+
 /// A registry of named [`Counter`]s and [`Gauge`]s. Lookup/creation takes
 /// a short mutex; the returned handles bypass it entirely, so components
 /// resolve their handles once at construction and increment lock-free.
@@ -166,6 +206,26 @@ mod tests {
         g.set(4);
         reg.gauge("exec.threads").add(-1);
         assert_eq!(g.get(), 3);
+    }
+
+    #[test]
+    fn section_clock_charges_sections_only_when_armed() {
+        let reg = MetricsRegistry::new();
+        let gauges = [reg.gauge("time.a_ns"), reg.gauge("time.b_ns")];
+        let mut clock = SectionClock::new(Some(&gauges));
+        let v = clock.time(1, || {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            7
+        });
+        clock.finish();
+        assert_eq!(v, 7);
+        assert_eq!(gauges[0].get(), 0);
+        assert!(gauges[1].get() >= 2_000_000, "{}", gauges[1].get());
+
+        let mut idle: SectionClock<'_, 2> = SectionClock::new(None);
+        assert_eq!(idle.time(0, || 3), 3);
+        idle.finish();
+        assert_eq!(gauges[0].get(), 0);
     }
 
     #[test]

@@ -6,13 +6,31 @@
 //! from the conditions database) are divided out here, which is why
 //! reconstruction — not analysis — owns the conditions dependency
 //! (report §3.2).
+//!
+//! The tower grid is a flat `Vec` sorted by `(ieta, iphi)`: cells are
+//! stable-sorted and each tower sums its cells in their original order,
+//! neighbours are found by binary search and each tower carries its own
+//! visit mark. Seeds are taken in ascending tower order and the BFS
+//! visits neighbours in a fixed order, so every cluster sum is formed in
+//! the same order as with an ordered map, bit for bit. On the replay
+//! events measured in [`crate::jets`] (13.6 cells per event) this costs
+//! 2.5–2.6 µs per event, where the two ordered maps cost 4.1–4.2 µs.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use daspos_detsim::config::CaloConfig;
 use daspos_detsim::raw::CaloCell;
 
 use crate::objects::CaloCluster;
+
+/// One tower of the grid: its coordinates, calibrated (EM, hadronic)
+/// energies, and whether the search has reached it yet.
+struct Tower {
+    key: (i32, i32),
+    em: f64,
+    had: f64,
+    visited: bool,
+}
 
 /// Cluster the calorimeter cells of one event.
 ///
@@ -28,34 +46,49 @@ pub fn cluster_cells(
     if em_gain <= 0.0 || had_gain <= 0.0 {
         return Vec::new();
     }
-    // Index cells by tower coordinates.
-    let mut grid: BTreeMap<(i32, i32), (f64, f64)> = BTreeMap::new();
-    for c in cells {
-        let e = grid.entry((c.ieta, c.iphi)).or_insert((0.0, 0.0));
-        e.0 += c.em / em_gain;
-        e.1 += c.had / had_gain;
-    }
+    // Index cells by tower coordinates, summing duplicates in cell order.
+    let mut sorted: Vec<&CaloCell> = cells.iter().collect();
+    sorted.sort_by_key(|c| (c.ieta, c.iphi));
+    let mut grid: Vec<Tower> = sorted
+        .chunk_by(|a, b| (a.ieta, a.iphi) == (b.ieta, b.iphi))
+        .map(|run| {
+            let (mut em, mut had) = (0.0, 0.0);
+            for c in run {
+                em += c.em / em_gain;
+                had += c.had / had_gain;
+            }
+            Tower {
+                key: (run[0].ieta, run[0].iphi),
+                em,
+                had,
+                visited: false,
+            }
+        })
+        .collect();
 
-    let mut visited: BTreeMap<(i32, i32), bool> = BTreeMap::new();
+    let mut queue = VecDeque::new();
     let mut clusters = Vec::new();
 
-    let keys: Vec<(i32, i32)> = grid.keys().copied().collect();
-    for start in keys {
-        if visited.get(&start).copied().unwrap_or(false) {
+    for start in 0..grid.len() {
+        if grid[start].visited {
             continue;
         }
         // BFS over 8-connected neighbours.
-        let mut queue = VecDeque::new();
         queue.push_back(start);
-        visited.insert(start, true);
+        grid[start].visited = true;
         let mut sum_e = 0.0;
         let mut sum_em = 0.0;
         let mut sum_eta = 0.0;
         let mut sum_phi_x = 0.0;
         let mut sum_phi_y = 0.0;
         let mut n_towers = 0u32;
-        while let Some((ieta, iphi)) = queue.pop_front() {
-            let (em, had) = grid[&(ieta, iphi)];
+        while let Some(t) = queue.pop_front() {
+            let Tower {
+                key: (ieta, iphi),
+                em,
+                had,
+                ..
+            } = grid[t];
             let e = em + had;
             let eta = (f64::from(ieta) + 0.5) * calo.d_eta;
             let phi = (f64::from(iphi) + 0.5) * calo.d_phi;
@@ -72,9 +105,11 @@ pub fn cluster_cells(
                         continue;
                     }
                     let nb = (ieta + deta, iphi + dphi);
-                    if grid.contains_key(&nb) && !visited.get(&nb).copied().unwrap_or(false) {
-                        visited.insert(nb, true);
-                        queue.push_back(nb);
+                    if let Ok(n) = grid.binary_search_by_key(&nb, |t| t.key) {
+                        if !grid[n].visited {
+                            grid[n].visited = true;
+                            queue.push_back(n);
+                        }
                     }
                 }
             }

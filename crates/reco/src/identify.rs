@@ -16,13 +16,10 @@ fn dr(eta1: f64, phi1: f64, eta2: f64, phi2: f64) -> f64 {
 /// Group muon hits into segments: hits from the same stub become one
 /// segment with averaged direction.
 pub fn build_muon_segments(hits: &[MuonHit]) -> Vec<MuonSegment> {
-    use std::collections::BTreeMap;
-    let mut by_stub: BTreeMap<u32, Vec<&MuonHit>> = BTreeMap::new();
-    for h in hits {
-        by_stub.entry(h.stub).or_default().push(h);
-    }
+    let mut by_stub: Vec<&MuonHit> = hits.iter().collect();
+    by_stub.sort_by_key(|h| h.stub);
     by_stub
-        .values()
+        .chunk_by(|a, b| a.stub == b.stub)
         .map(|hs| {
             let n = hs.len() as f64;
             let eta = hs.iter().map(|h| h.eta).sum::<f64>() / n;

@@ -27,6 +27,8 @@ pub mod clustering;
 pub mod identify;
 pub mod jets;
 pub mod objects;
+#[cfg(test)]
+mod oracle;
 pub mod processor;
 pub mod tracking;
 pub mod vertexing;

@@ -11,6 +11,7 @@ use std::sync::Arc;
 use daspos_conditions::{ConditionsError, ConditionsSource, IovKey};
 use daspos_detsim::config::DetectorConfig;
 use daspos_detsim::raw::RawEvent;
+use daspos_obs::{Gauge, SectionClock};
 
 use crate::clustering;
 use crate::identify::{self, IdConfig};
@@ -46,12 +47,29 @@ impl Default for RecoConfig {
     }
 }
 
+/// Sub-stage timing gauges, indexed by the constants below.
+const SUB_STAGES: [&str; 5] = [
+    "time.reco.tracking_ns",
+    "time.reco.clustering_ns",
+    "time.reco.identify_ns",
+    "time.reco.jets_ns",
+    "time.reco.vertexing_ns",
+];
+const TRACKING: usize = 0;
+const CLUSTERING: usize = 1;
+const IDENTIFY: usize = 2;
+const JETS: usize = 3;
+const VERTEXING: usize = 4;
+
 /// The reconstruction processor for one experiment.
 pub struct RecoProcessor {
     detector: DetectorConfig,
     config: RecoConfig,
     conditions: Arc<dyn ConditionsSource>,
+    /// The `ecal/gain` and `hcal/gain` keys, built once.
+    gain_keys: [IovKey; 2],
     reconstructed: Option<daspos_obs::Counter>,
+    clocks: Option<[Gauge; 5]>,
 }
 
 impl RecoProcessor {
@@ -66,14 +84,20 @@ impl RecoProcessor {
             detector,
             config,
             conditions,
+            gain_keys: [IovKey::new("ecal/gain"), IovKey::new("hcal/gain")],
             reconstructed: None,
+            clocks: None,
         }
     }
 
     /// Count every successfully reconstructed event into `registry`'s
-    /// `events.reconstructed` counter.
+    /// `events.reconstructed` counter, and sum the wall-clock time of
+    /// each sub-stage into the volatile `time.reco.{tracking,clustering,
+    /// identify,jets,vertexing}_ns` gauges. Without a registry no clock
+    /// is read.
     pub fn with_metrics(mut self, registry: &daspos_obs::MetricsRegistry) -> Self {
         self.reconstructed = Some(registry.counter("events.reconstructed"));
+        self.clocks = Some(SUB_STAGES.map(|name| registry.gauge(name)));
         self
     }
 
@@ -95,26 +119,29 @@ impl RecoProcessor {
     /// segments. This is the stage with the conditions dependency.
     pub fn reconstruct(&self, raw: &RawEvent) -> Result<RecoEvent, ConditionsError> {
         let run = raw.header.run.0;
-        let em_gain = self
-            .conditions
-            .get(&IovKey::new("ecal/gain"), run)?
-            .as_scalar()
-            .unwrap_or(1.0);
+        let [em_key, had_key] = &self.gain_keys;
+        let em_gain = self.conditions.get(em_key, run)?.as_scalar().unwrap_or(1.0);
         let had_gain = self
             .conditions
-            .get(&IovKey::new("hcal/gain"), run)?
+            .get(had_key, run)?
             .as_scalar()
             .unwrap_or(1.0);
 
-        let tracks = tracking::fit_all(&raw.tracker_hits, self.detector.field_tesla);
-        let clusters = clustering::cluster_cells(
-            &raw.calo_cells,
-            &self.detector.calo,
-            em_gain,
-            had_gain,
-            self.config.cluster_e_min,
-        );
-        let muon_segments = identify::build_muon_segments(&raw.muon_hits);
+        let mut clock = SectionClock::new(self.clocks.as_ref());
+        let tracks = clock.time(TRACKING, || {
+            tracking::fit_all(&raw.tracker_hits, self.detector.field_tesla)
+        });
+        let clusters = clock.time(CLUSTERING, || {
+            clustering::cluster_cells(
+                &raw.calo_cells,
+                &self.detector.calo,
+                em_gain,
+                had_gain,
+                self.config.cluster_e_min,
+            )
+        });
+        let muon_segments = clock.time(IDENTIFY, || identify::build_muon_segments(&raw.muon_hits));
+        clock.finish();
         Ok(RecoEvent {
             header: raw.header,
             tracks,
@@ -126,22 +153,27 @@ impl RecoProcessor {
     /// RECO → AOD: identify candidate physics objects. No external
     /// dependencies — everything needed is in the RECO event.
     pub fn refine(&self, reco: &RecoEvent) -> AodEvent {
-        let ids = identify::identify(
-            &reco.tracks,
-            &reco.clusters,
-            &reco.muon_segments,
-            &self.config.id,
-        );
+        let mut clock = SectionClock::new(self.clocks.as_ref());
+        let ids = clock.time(IDENTIFY, || {
+            identify::identify(
+                &reco.tracks,
+                &reco.clusters,
+                &reco.muon_segments,
+                &self.config.id,
+            )
+        });
 
         // Jets from clusters not consumed by electrons/photons.
-        let jet_inputs: Vec<_> = reco
-            .clusters
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !ids.used_clusters.contains(i))
-            .map(|(_, c)| *c)
-            .collect();
-        let jets = jets::anti_kt(&jet_inputs, self.config.jet_radius, self.config.jet_pt_min);
+        let jets = clock.time(JETS, || {
+            let jet_inputs: Vec<_> = reco
+                .clusters
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !ids.used_clusters.contains(i))
+                .map(|(_, c)| *c)
+                .collect();
+            jets::anti_kt(&jet_inputs, self.config.jet_radius, self.config.jet_pt_min)
+        });
 
         // MET: negative vector sum of all calibrated calo clusters plus
         // muon tracks (muons deposit almost nothing in the calorimeter).
@@ -157,7 +189,10 @@ impl RecoProcessor {
             mey -= m.momentum.py;
         }
 
-        let candidates = vertexing::find_candidates(&reco.tracks, &self.config.vertexing);
+        let candidates = clock.time(VERTEXING, || {
+            vertexing::find_candidates(&reco.tracks, &self.config.vertexing)
+        });
+        clock.finish();
 
         AodEvent {
             header: reco.header,

@@ -179,15 +179,13 @@ fn solve3(mut a: [[f64; 3]; 3], mut b: [f64; 3]) -> Option<[f64; 3]> {
     Some(x)
 }
 
-/// Group raw hits by stub and fit each group.
+/// Group raw hits by stub and fit each group, stubs in ascending order
+/// and each stub's hits in readout order (a stable sort by stub).
 pub fn fit_all(hits: &[TrackerHit], field_tesla: f64) -> Vec<Track> {
-    use std::collections::BTreeMap;
-    let mut by_stub: BTreeMap<u32, Vec<TrackerHit>> = BTreeMap::new();
-    for h in hits {
-        by_stub.entry(h.stub).or_default().push(*h);
-    }
+    let mut by_stub = hits.to_vec();
+    by_stub.sort_by_key(|h| h.stub);
     let mut tracks: Vec<Track> = by_stub
-        .values()
+        .chunk_by(|a, b| a.stub == b.stub)
         .filter_map(|hs| fit_track(hs, field_tesla))
         .filter(|t| t.pt.is_finite() && t.pt > 0.05 && t.pt < 5000.0)
         .collect();

@@ -95,6 +95,60 @@ fn trace_covers_every_chain_stage_and_round_trips() {
     }
 }
 
+/// The reco and detsim sub-stage gauges are recorded and fit inside the
+/// stage gauge that encloses them; like every gauge they stay out of the
+/// stable trace.
+#[test]
+fn sub_stage_gauges_fit_inside_their_stage() {
+    for (workflow, threads) in [
+        (PreservedWorkflow::standard_z(Experiment::Cms, 11, 96), 1),
+        (PreservedWorkflow::standard_charm(11, 96), 2),
+    ] {
+        let collector = Arc::new(MemoryCollector::new());
+        let registry = Arc::new(MetricsRegistry::new());
+        let opts = ExecOptions::new()
+            .threads(threads)
+            .with_obs(Obs::collecting(collector.clone(), registry.clone()));
+        workflow
+            .execute(&ExecutionContext::fresh(&workflow), &opts)
+            .expect("chain executes");
+        let snap = registry.snapshot();
+        for (stage, parts) in [
+            (
+                "time.reconstruct_ns",
+                &[
+                    "time.reco.tracking_ns",
+                    "time.reco.clustering_ns",
+                    "time.reco.identify_ns",
+                    "time.reco.jets_ns",
+                    "time.reco.vertexing_ns",
+                ][..],
+            ),
+            (
+                "time.simulate_ns",
+                &[
+                    "time.detsim.tracker_ns",
+                    "time.detsim.calo_ns",
+                    "time.detsim.noise_ns",
+                ][..],
+            ),
+        ] {
+            let total = snap.gauge(stage);
+            let mut sum = 0;
+            for part in parts {
+                let ns = snap.gauge(part);
+                assert!(snap.gauges.contains_key(*part), "{part} not recorded");
+                assert!(ns >= 0, "{part} = {ns}");
+                sum += ns;
+            }
+            assert!(sum > 0, "no {stage} sub-stage time recorded");
+            assert!(sum <= total, "{stage}: sub-stages {sum} ns > {total} ns");
+        }
+        let stable = render_trace(&collector.sorted_records(), Some(&snap), true);
+        assert!(!stable.contains("time."), "a timing gauge leaked into the stable trace");
+    }
+}
+
 #[test]
 fn observability_off_is_observable_nowhere() {
     // A disabled bundle must not alter outputs: run with and without.

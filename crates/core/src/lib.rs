@@ -51,7 +51,6 @@ pub mod migrate;
 pub mod runner;
 pub mod usecases;
 pub mod validate;
-pub mod vaultops;
 pub mod workflow;
 
 /// The observability layer (spans, collectors, metrics) — re-export of

@@ -5,8 +5,9 @@
 //! configuration and the event index (every random stream is re-derived
 //! from the master seed and the index). That makes production
 //! embarrassingly parallel **without sacrificing bit-reproducibility**:
-//! shard the event range across a fixed worker pool, let every worker own
-//! its own generator/simulation/reconstruction built from the same
+//! shard the event range into chunks over [`daspos_hep::par`], the
+//! toolkit's one fan-out engine, let every worker own its own
+//! generator/simulation/reconstruction built from the same
 //! configuration, and merge the per-chunk results back in index order.
 //! The merged vectors — and therefore every tier file encoded from them —
 //! are byte-identical to a sequential run.
@@ -16,7 +17,7 @@
 
 use std::sync::Arc;
 
-use crossbeam::channel;
+use daspos_hep::par;
 use daspos_obs::{Collector, MetricsRegistry, Obs, Span, Tracer};
 use daspos_tiers::TierFormat;
 
@@ -106,28 +107,26 @@ impl ExecOptions {
 }
 
 /// Events per work unit: small enough to balance load across workers,
-/// large enough that channel traffic is negligible next to the physics.
-pub(crate) const CHUNK_EVENTS: u64 = 64;
+/// large enough that claiming a chunk is negligible next to the physics.
+pub(crate) const CHUNK_EVENTS: usize = 64;
 
 /// Run `worker(i)` for every `i in 0..n_items` and return the results in
 /// index order.
 ///
-/// `make_worker` is called once per pool thread to build that thread's
+/// `make_worker` is called once per worker to build that worker's
 /// private processing state (generator, simulation, reconstruction);
-/// the returned closure is then fed event indices. With `threads <= 1`
-/// everything runs on the calling thread with a single worker — the
-/// sequential path, no pool, no channels.
-///
-/// Work is distributed as contiguous index chunks over a crossbeam
-/// channel; each finished chunk is sent back tagged with its position and
-/// the caller reassembles them in order, so the output is independent of
-/// scheduling. On error the lowest-indexed failing chunk's error is
-/// returned.
+/// the returned closure is then fed event indices. The indices are cut
+/// into [`CHUNK_EVENTS`]-event chunks and fanned over `opts`' workers by
+/// the toolkit's one fan-out engine ([`daspos_hep::par`]), which returns
+/// them in order — so the output is independent of scheduling, and on
+/// error the lowest-indexed failing event's error is returned. With one
+/// thread everything runs on the calling thread.
 ///
 /// Every chunk opens a `chunk-NNNNN` child span under `parent`. The
-/// chunk layout depends only on `n_items` — both engines emit the same
-/// span paths and fields, so a trace's stable render is identical at any
-/// thread count (only timestamps and completion order differ).
+/// chunk layout depends only on `n_items`, so every thread count emits
+/// the same span paths and fields, and a trace's stable render is
+/// identical at any thread count (only timestamps and completion order
+/// differ).
 pub fn run_ordered<T, E, W, F>(
     n_items: u64,
     opts: &ExecOptions,
@@ -140,100 +139,28 @@ where
     W: Fn() -> F + Sync,
     F: FnMut(u64) -> Result<T, E>,
 {
-    let n_chunks = n_items.div_ceil(CHUNK_EVENTS) as usize;
-    let threads = opts.thread_count().min(n_chunks.max(1));
-    if threads == 1 {
-        let mut worker = make_worker();
-        let mut out = Vec::with_capacity(n_items as usize);
-        for idx in 0..n_chunks as u64 {
-            let start = idx * CHUNK_EVENTS;
-            let end = (start + CHUNK_EVENTS).min(n_items);
-            let mut span = parent.child_indexed("chunk", idx);
-            span.field("events", end - start);
-            for i in start..end {
-                out.push(worker(i)?);
+    let chunks = par::try_map_chunks(
+        n_items as usize,
+        CHUNK_EVENTS,
+        opts.thread_count(),
+        make_worker,
+        |worker, idx, range| {
+            let mut span = parent.child_indexed("chunk", idx as u64);
+            span.field("events", range.len());
+            let mut chunk = Vec::with_capacity(range.len());
+            for i in range {
+                chunk.push(worker(i as u64)?);
             }
-        }
-        return Ok(out);
-    }
-
-    let (job_tx, job_rx) = channel::unbounded::<(usize, u64, u64)>();
-    for idx in 0..n_chunks {
-        let start = idx as u64 * CHUNK_EVENTS;
-        let end = (start + CHUNK_EVENTS).min(n_items);
-        job_tx.send((idx, start, end)).expect("receivers alive");
-    }
-    drop(job_tx); // workers drain the queue then see disconnect
-
-    type ChunkResult<T, E> = (usize, Result<Vec<T>, E>);
-    let (res_tx, res_rx) = channel::unbounded::<ChunkResult<T, E>>();
-
-    let mut slots: Vec<Option<Vec<T>>> = Vec::new();
-    slots.resize_with(n_chunks, || None);
-    let mut first_err: Option<(usize, E)> = None;
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let make_worker = &make_worker;
-            scope.spawn(move || {
-                let mut worker = make_worker();
-                while let Ok((idx, start, end)) = job_rx.recv() {
-                    let mut span = parent.child_indexed("chunk", idx as u64);
-                    span.field("events", end - start);
-                    let mut chunk = Vec::with_capacity((end - start) as usize);
-                    let mut failure = None;
-                    for i in start..end {
-                        match worker(i) {
-                            Ok(v) => chunk.push(v),
-                            Err(e) => {
-                                failure = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                    span.finish();
-                    match failure {
-                        None => {
-                            let _ = res_tx.send((idx, Ok(chunk)));
-                        }
-                        Some(e) => {
-                            let _ = res_tx.send((idx, Err(e)));
-                            break; // stop pulling work after a failure
-                        }
-                    }
-                }
-            });
-        }
-        drop(res_tx);
-
-        let mut received = 0;
-        while received < n_chunks {
-            match res_rx.recv() {
-                Ok((idx, Ok(chunk))) => {
-                    slots[idx] = Some(chunk);
-                    received += 1;
-                }
-                Ok((idx, Err(e))) => {
-                    if first_err.as_ref().is_none_or(|(i, _)| idx < *i) {
-                        first_err = Some((idx, e));
-                    }
-                    received += 1;
-                }
-                // All workers exited (every one hit an error): whatever
-                // chunks are missing will never arrive.
-                Err(_) => break,
-            }
-        }
-    });
-
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
-    let mut out = Vec::with_capacity(n_items as usize);
-    for slot in slots {
-        out.extend(slot.expect("all chunks received"));
+            Ok(chunk)
+        },
+    )?;
+    // Grow the first chunk into the output: a run of one chunk moves no
+    // event twice.
+    let mut chunks = chunks.into_iter();
+    let mut out = chunks.next().unwrap_or_default();
+    out.reserve_exact(n_items as usize - out.len());
+    for chunk in chunks {
+        out.extend(chunk);
     }
     Ok(out)
 }
@@ -242,65 +169,6 @@ where
 mod tests {
     use super::*;
     use daspos_obs::MemoryCollector;
-
-    fn noop_span() -> Span {
-        Tracer::disabled().span("test")
-    }
-
-    #[test]
-    fn matches_sequential_for_any_thread_count() {
-        let compute =
-            |i: u64| -> Result<u64, String> { Ok(i.wrapping_mul(0x9E37_79B9).rotate_left(13)) };
-        let reference: Vec<u64> = (0..1000).map(|i| compute(i).unwrap()).collect();
-        for threads in [1, 2, 3, 4, 8] {
-            let opts = ExecOptions::sequential().threads(threads);
-            let got = run_ordered(1000, &opts, &noop_span(), || compute).expect("runs");
-            assert_eq!(got, reference, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn empty_and_tiny_ranges() {
-        let opts = ExecOptions::sequential().threads(4);
-        let empty: Vec<u64> = run_ordered(0, &opts, &noop_span(), || |i: u64| Ok::<_, String>(i))
-            .unwrap();
-        assert!(empty.is_empty());
-        let one = run_ordered(1, &opts, &noop_span(), || |i: u64| Ok::<_, String>(i * 2)).unwrap();
-        assert_eq!(one, vec![0]);
-    }
-
-    #[test]
-    fn errors_propagate() {
-        let opts = ExecOptions::sequential().threads(4);
-        let err = run_ordered(500, &opts, &noop_span(), || {
-            |i: u64| {
-                if i == 137 {
-                    Err(format!("boom at {i}"))
-                } else {
-                    Ok(i)
-                }
-            }
-        })
-        .unwrap_err();
-        assert!(err.contains("boom"), "{err}");
-    }
-
-    #[test]
-    fn per_thread_state_is_isolated() {
-        // Each pool thread gets its own accumulator from make_worker;
-        // results must still be a pure function of the index.
-        let opts = ExecOptions::sequential().threads(3);
-        let got = run_ordered(300, &opts, &noop_span(), || {
-            let mut calls = 0u64;
-            move |i: u64| {
-                calls += 1;
-                let _ = calls; // thread-private state must not leak into results
-                Ok::<_, String>(i + 7)
-            }
-        })
-        .unwrap();
-        assert_eq!(got, (0..300).map(|i| i + 7).collect::<Vec<u64>>());
-    }
 
     #[test]
     fn options_builders() {
@@ -327,7 +195,8 @@ mod tests {
                 .threads(threads)
                 .collector(collector.clone());
             let parent = opts.obs.tracer.span("produce");
-            let _ = run_ordered(300, &opts, &parent, || |i: u64| Ok::<_, String>(i)).unwrap();
+            let got = run_ordered(300, &opts, &parent, || |i: u64| Ok::<_, String>(i)).unwrap();
+            assert_eq!(got, (0..300).collect::<Vec<u64>>());
             parent.finish();
             let records = collector.sorted_records();
             assert_eq!(records.len(), 6, "5 chunks + parent");

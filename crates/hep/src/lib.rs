@@ -12,7 +12,9 @@
 //! * [`seq`] — deterministic seed derivation so every pipeline stage is
 //!   reproducible from a single master seed (a preservation requirement),
 //! * [`digest`] — FNV-1a 64, the one content digest every crate shares,
-//! * [`json`] — the one JSON engine (outreach `ig` files, trace JSONL).
+//! * [`json`] — the one JSON engine (outreach `ig` files, trace JSONL),
+//! * [`par`] — the one ordered fan-out engine (production, tier
+//!   encoding, skims, vault scans).
 //!
 //! The DASPOS report (§3.1) stresses that "all high energy physics studies
 //! are statistical in nature, where ensembles of events are considered and
@@ -26,6 +28,7 @@ pub mod fourvec;
 pub mod hist;
 pub mod ids;
 pub mod json;
+pub mod par;
 pub mod particle;
 pub mod seq;
 pub mod stats;

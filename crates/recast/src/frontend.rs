@@ -6,10 +6,10 @@
 //! and the results, if approved, are returned to the user."*
 
 use std::collections::BTreeMap;
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Sender};
 use daspos_gen::NewPhysicsParams;
 use daspos_hep::ids::{IdAllocator, RequestId};
 use parking_lot::{Condvar, Mutex};
@@ -70,33 +70,38 @@ impl RecastFrontEnd {
     /// Start a front end with `n_workers` threads over the given back
     /// end.
     pub fn start(backend: Arc<dyn RecastBackend>, n_workers: usize) -> Self {
-        let (tx, rx) = unbounded::<RecastRequest>();
+        // One queue, shared by the workers: whichever is idle takes the
+        // next request, and all of them stop once the sender is gone.
+        let (tx, rx) = channel::<RecastRequest>();
+        let rx = Arc::new(Mutex::new(rx));
         let board: Arc<(Mutex<Board>, Condvar)> = Arc::new((Mutex::new(Board::default()), Condvar::new()));
         let mut workers = Vec::new();
         for _ in 0..n_workers.max(1) {
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             let backend = Arc::clone(&backend);
             let board = Arc::clone(&board);
-            workers.push(std::thread::spawn(move || {
-                while let Ok(request) = rx.recv() {
-                    {
-                        let mut b = board.0.lock();
-                        b.states.insert(request.id, RequestState::Running);
-                    }
-                    let outcome = backend.process(&request);
+            workers.push(std::thread::spawn(move || loop {
+                // The queue lock is released at the end of this statement,
+                // before the request is processed.
+                let Ok(request) = rx.lock().recv() else {
+                    break;
+                };
+                {
                     let mut b = board.0.lock();
-                    match outcome {
-                        Ok(output) => {
-                            b.outputs.insert(request.id, output);
-                            b.states
-                                .insert(request.id, RequestState::AwaitingApproval);
-                        }
-                        Err(_) => {
-                            b.states.insert(request.id, RequestState::Failed);
-                        }
-                    }
-                    board.1.notify_all();
+                    b.states.insert(request.id, RequestState::Running);
                 }
+                let outcome = backend.process(&request);
+                let mut b = board.0.lock();
+                match outcome {
+                    Ok(output) => {
+                        b.outputs.insert(request.id, output);
+                        b.states.insert(request.id, RequestState::AwaitingApproval);
+                    }
+                    Err(_) => {
+                        b.states.insert(request.id, RequestState::Failed);
+                    }
+                }
+                board.1.notify_all();
             }));
         }
         RecastFrontEnd {

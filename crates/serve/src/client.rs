@@ -1,8 +1,9 @@
 //! The blocking protocol client used by `loadgen`, the CLI and tests.
 //!
 //! Sessions are configured through [`ServeClient::builder`]: tenant,
-//! per-op timeout, an Overloaded retry policy, and the chunk size used
-//! by streamed transfers.
+//! per-op timeout, and the chunk size used by streamed transfers.
+//! `Overloaded` answers reach the caller as data; the client never
+//! retries.
 //!
 //! Objects larger than one frame travel through [`ServeClient::put_stream`]
 //! / [`ServeClient::get_stream`]: the client holds one chunk at a time
@@ -31,32 +32,11 @@ pub const DEFAULT_OP_TIMEOUT: Duration = Duration::from_secs(10);
 /// Default chunk size for streamed transfers (4 MiB).
 pub const DEFAULT_CLIENT_CHUNK: usize = crate::proto::DEFAULT_CHUNK_BYTES;
 
-/// How a client reacts to `Overloaded` responses: up to `attempts`
-/// tries total, sleeping `backoff` between them. The default (one
-/// attempt) surfaces backpressure to the caller untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total tries per op (minimum 1).
-    pub attempts: u32,
-    /// Sleep between tries.
-    pub backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            attempts: 1,
-            backoff: Duration::from_micros(200),
-        }
-    }
-}
-
 /// Builder for a [`ServeClient`] session.
 #[derive(Debug, Clone)]
 pub struct ClientBuilder {
     tenant: String,
     op_timeout: Duration,
-    retry: RetryPolicy,
     chunk_bytes: usize,
 }
 
@@ -65,12 +45,6 @@ impl ClientBuilder {
     /// (tests drive this down to catch hangs fast).
     pub fn op_timeout(mut self, timeout: Duration) -> ClientBuilder {
         self.op_timeout = timeout;
-        self
-    }
-
-    /// Retry `Overloaded` responses instead of surfacing them.
-    pub fn retry(mut self, retry: RetryPolicy) -> ClientBuilder {
-        self.retry = retry;
         self
     }
 
@@ -100,7 +74,6 @@ impl ClientBuilder {
         Ok(ServeClient {
             stream,
             tenant: self.tenant,
-            retry: self.retry,
             chunk_bytes: self.chunk_bytes,
         })
     }
@@ -110,7 +83,6 @@ impl ClientBuilder {
 pub struct ServeClient {
     stream: TcpStream,
     tenant: String,
-    retry: RetryPolicy,
     chunk_bytes: usize,
 }
 
@@ -120,7 +92,6 @@ impl ServeClient {
         ClientBuilder {
             tenant: tenant.to_string(),
             op_timeout: DEFAULT_OP_TIMEOUT,
-            retry: RetryPolicy::default(),
             chunk_bytes: DEFAULT_CLIENT_CHUNK,
         }
     }
@@ -138,7 +109,6 @@ impl ServeClient {
     /// Send one request and wait for its response. Transport and
     /// protocol failures are errors; non-OK *statuses* are data (the
     /// caller decides whether `NotFound` or `Overloaded` is exceptional).
-    /// This is the raw primitive — it never retries.
     ///
     /// A response not complete within the op timeout fails the op and
     /// closes the session: the stream is out of step after a cut frame.
@@ -164,21 +134,6 @@ impl ServeClient {
         }
     }
 
-    /// [`request`](ServeClient::request) plus the session's
-    /// [`RetryPolicy`] on `Overloaded` responses.
-    fn request_retrying(&mut self, req: &Request) -> Result<Response, ServeError> {
-        let mut attempt = 1;
-        loop {
-            let resp = self.request(req)?;
-            if resp.status == Status::Overloaded && attempt < self.retry.attempts.max(1) {
-                attempt += 1;
-                std::thread::sleep(self.retry.backoff);
-                continue;
-            }
-            return Ok(resp);
-        }
-    }
-
     /// Store `payload` under this tenant's `key`.
     pub fn put(
         &mut self,
@@ -186,7 +141,7 @@ impl ServeClient {
         kind: ObjectKind,
         payload: &Bytes,
     ) -> Result<Response, ServeError> {
-        self.request_retrying(&Request {
+        self.request(&Request {
             op: Op::Put,
             kind,
             tenant: self.tenant.clone(),
@@ -198,25 +153,25 @@ impl ServeClient {
     /// Fetch the object under this tenant's `key`.
     pub fn get(&mut self, key: &str) -> Result<Response, ServeError> {
         let tenant = self.tenant.clone();
-        self.request_retrying(&Request::control(Op::Get, &tenant, key))
+        self.request(&Request::control(Op::Get, &tenant, key))
     }
 
     /// Integrity-check one object (empty `key`: the whole vault).
     pub fn verify(&mut self, key: &str) -> Result<Response, ServeError> {
         let tenant = self.tenant.clone();
-        self.request_retrying(&Request::control(Op::Verify, &tenant, key))
+        self.request(&Request::control(Op::Verify, &tenant, key))
     }
 
     /// Trigger a repairing scrub of the whole vault.
     pub fn scrub(&mut self) -> Result<Response, ServeError> {
         let tenant = self.tenant.clone();
-        self.request_retrying(&Request::control(Op::Scrub, &tenant, ""))
+        self.request(&Request::control(Op::Scrub, &tenant, ""))
     }
 
     /// Fetch server statistics.
     pub fn stat(&mut self) -> Result<Response, ServeError> {
         let tenant = self.tenant.clone();
-        self.request_retrying(&Request::control(Op::Stat, &tenant, ""))
+        self.request(&Request::control(Op::Stat, &tenant, ""))
     }
 
     /// Ask the server to drain and exit.
@@ -239,7 +194,7 @@ impl ServeClient {
         reader: &mut dyn Read,
     ) -> Result<Response, ServeError> {
         let chunk_bytes = self.chunk_bytes;
-        let begin = self.request_retrying(&Request {
+        let begin = self.request(&Request {
             op: Op::PutBegin,
             kind,
             tenant: self.tenant.clone(),
@@ -278,7 +233,7 @@ impl ServeClient {
             if n == 0 {
                 break;
             }
-            let resp = self.request_retrying(&Request {
+            let resp = self.request(&Request {
                 op: Op::PutChunk,
                 kind,
                 tenant: self.tenant.clone(),
@@ -296,7 +251,7 @@ impl ServeClient {
                 break;
             }
         }
-        self.request_retrying(&Request {
+        self.request(&Request {
             op: Op::PutCommit,
             kind,
             tenant: self.tenant.clone(),
@@ -335,7 +290,7 @@ impl ServeClient {
     ) -> Result<Response, ServeError> {
         let chunk_bytes = self.chunk_bytes;
         let tenant = self.tenant.clone();
-        let begin = self.request_retrying(&Request {
+        let begin = self.request(&Request {
             op: Op::GetBegin,
             kind: ObjectKind::Opaque,
             tenant: tenant.clone(),
@@ -349,7 +304,7 @@ impl ServeClient {
         let mut fold = FNV64_OFFSET;
         let mut written = 0u64;
         for seq in 0..info.chunks {
-            let resp = self.request_retrying(&Request {
+            let resp = self.request(&Request {
                 op: Op::GetChunk,
                 kind: ObjectKind::Opaque,
                 tenant: tenant.clone(),

@@ -64,7 +64,7 @@ pub mod server;
 pub mod stream;
 pub mod wire;
 
-pub use client::{expect_ok, ClientBuilder, RetryPolicy, ServeClient};
+pub use client::{expect_ok, ClientBuilder, ServeClient};
 pub use loadgen::{LoadgenConfig, LoadgenReport, MixWeights, OpStats};
 pub use proto::{Op, ProtoError, Request, Response, Status};
 pub use server::{

@@ -268,7 +268,6 @@ pub fn decode_manifest(payload: &Bytes) -> Result<Manifest, ProtoError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use daspos_tiers::codec::fnv64;
 
     #[test]
     fn payload_codecs_round_trip_and_reject_trailing_bytes() {

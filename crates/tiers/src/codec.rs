@@ -18,6 +18,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use daspos_detsim::raw::{CaloCell, MuonHit, RawEvent, TrackerHit};
 use daspos_hep::digest::FNV64_PRIME;
 use daspos_hep::event::EventHeader;
+use daspos_hep::par;
 use daspos_reco::objects::{
     AodEvent, CaloCluster, Electron, Jet, Met, Muon, MuonSegment, Photon, RecoEvent, Track,
     TwoProngCandidate,
@@ -750,7 +751,9 @@ where
     if threads <= 1 || events.len() < MIN_PARALLEL_EVENTS {
         return encode_file_versioned(tier, events, put, version);
     }
-    let chunks = crate::par::map_chunks(events, threads, |part| {
+    let chunk_len = events.len().div_ceil(threads);
+    let chunks = par::map_chunks(events.len(), chunk_len, threads, |_, range| {
+        let part = &events[range];
         let mut buf = BytesMut::with_capacity(part.len() * 256);
         for ev in part {
             put_frame(&mut buf, ev, &put);

@@ -50,6 +50,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use daspos_hep::digest::{FNV64_OFFSET, FNV64_PRIME};
 use daspos_hep::event::EventHeader;
 use daspos_hep::fourvec::FourVector;
+use daspos_hep::par;
 use daspos_obs::MetricsRegistry;
 use daspos_reco::objects::{AodEvent, Electron, Jet, Met, Muon, Photon, TwoProngCandidate};
 
@@ -1160,8 +1161,10 @@ fn cross_check_counts(
 /// [`ColumnarFile::from_rows`].
 pub fn encode_columnar_parallel(events: &[AodEvent], threads: usize) -> Bytes {
     let n_rows = row_count(events);
-    let frames: Vec<BytesMut> = crate::par::map_chunks(&ColumnId::ALL, threads, |ids| {
-        ids.iter()
+    let chunk_len = N_COLUMNS.div_ceil(threads.max(1));
+    let frames: Vec<BytesMut> = par::map_chunks(N_COLUMNS, chunk_len, threads, |_, range| {
+        ColumnId::ALL[range]
+            .iter()
             .map(|&id| {
                 let raw = build_raw_column(id, events);
                 encode_column(id, &raw, events.len())

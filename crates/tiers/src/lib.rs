@@ -25,7 +25,6 @@ pub mod codec;
 pub mod colnar;
 pub mod dataset;
 pub mod ntuple;
-pub mod par;
 pub mod skim;
 pub mod tier;
 

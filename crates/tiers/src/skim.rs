@@ -13,6 +13,7 @@
 //! P1 ablation quantifies.
 
 use bytes::Bytes;
+use daspos_hep::par;
 use daspos_reco::objects::AodEvent;
 use std::fmt;
 
@@ -494,8 +495,9 @@ pub fn skim_slim_chunked(
     if threads <= 1 || events.len() < MIN_PARALLEL_EVENTS {
         return skim_slim(events, selection, slim);
     }
-    let parts = crate::par::map_chunks(events, threads, |chunk| {
-        skim_slim(chunk, selection, slim)
+    let chunk_len = events.len().div_ceil(threads);
+    let parts = par::map_chunks(events.len(), chunk_len, threads, |_, range| {
+        skim_slim(&events[range], selection, slim)
     });
     let mut out = Vec::with_capacity(parts.iter().map(|(v, _)| v.len()).sum());
     let mut report = SkimReport {

@@ -14,10 +14,11 @@
 //!   possibly 0), each slot a plain `DPVO` copy with no `DPVS` wrapper.
 //!
 //! Every read and every integrity pass — [`get`](Vault::get),
-//! [`scrub`](Vault::scrub)/[`verify`](Vault::verify),
-//! [`scrub_object`](Vault::scrub_object)/[`verify_object`](Vault::verify_object)
-//! and the interruptible [`scrub_object_while`](Vault::scrub_object_while)
-//! — runs the same per-object pipeline:
+//! [`scrub`](Vault::scrub)/[`verify`](Vault::verify) and the
+//! multi-worker [`scan`](Vault::scan) they run on one worker,
+//! [`verify_object`](Vault::verify_object) and the interruptible
+//! [`scrub_object_while`](Vault::scrub_object_while) — runs the same
+//! per-object pipeline:
 //!
 //! 1. **classify** each slot as missing, corrupt (unreadable, a copy
 //!    failing its envelope digest, or a shard failing its digest or
@@ -58,6 +59,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use bytes::Bytes;
+use daspos_hep::par;
 use daspos_obs::Obs;
 use daspos_tiers::codec::fnv64;
 
@@ -890,12 +892,12 @@ impl Vault {
     /// or missing slot is rewritten byte-identically from the verified
     /// winning generation.
     pub fn scrub(&self) -> Result<ScrubReport, VaultError> {
-        self.scan(true)
+        self.scan(true, 1)
     }
 
     /// Integrity sweep without repair — reports damage, changes nothing.
     pub fn verify(&self) -> Result<ScrubReport, VaultError> {
-        self.scan(false)
+        self.scan(false, 1)
     }
 
     /// The per-object body of every integrity pass: classify, vote and
@@ -1003,7 +1005,16 @@ impl Vault {
         }
     }
 
-    fn scan(&self, repair: bool) -> Result<ScrubReport, VaultError> {
+    /// The integrity sweep behind [`scrub`](Vault::scrub) (`repair`) and
+    /// [`verify`](Vault::verify): every listed key runs the per-object
+    /// pipeline at its stripe index (its position in [`keys`](Vault::keys)),
+    /// fanned over up to `threads` workers by the toolkit's one fan-out
+    /// engine ([`daspos_hep::par`]), and the per-key reports are absorbed
+    /// in key order — so the report, detail lines included, is the same
+    /// at every worker count. A key every backend reports absent was
+    /// deleted after the listing: it is left out of the report, not
+    /// counted as missing slots.
+    pub fn scan(&self, repair: bool, threads: usize) -> Result<ScrubReport, VaultError> {
         let keys = self.keys()?;
         let mut span = self
             .obs
@@ -1013,12 +1024,21 @@ impl Vault {
         span.field("objects", keys.len());
 
         let mut report = ScrubReport {
-            objects: keys.len(),
             replicas: self.backends.len(),
             ..ScrubReport::default()
         };
-        for (stripe, key) in keys.iter().enumerate() {
-            self.scan_key(stripe, key, repair, &|| true, &mut report, &span);
+        for part in par::map_chunks(keys.len(), 1, threads, |stripe, _| {
+            let mut part = ScrubReport {
+                objects: 1,
+                ..ScrubReport::default()
+            };
+            self.scan_key(stripe, &keys[stripe], repair, &|| true, &mut part, &span);
+            if part.checked == 0 {
+                return ScrubReport::default();
+            }
+            part
+        }) {
+            report.absorb(part);
         }
         self.record_scrub_counters(&report);
         span.field("corrupt", report.corrupt);
@@ -1028,29 +1048,21 @@ impl Vault {
         Ok(report)
     }
 
-    /// Scrub (with repair) a single object — the unit of work the
-    /// preservation service's background scrubber interleaves between
-    /// foreground requests, so one tick never holds the vault for a full
-    /// sweep. Reports [`VaultError::NotFound`] when no backend stores
-    /// the key at all.
-    pub fn scrub_object(&self, key: &str) -> Result<ScrubReport, VaultError> {
-        self.scan_one(key, true, &|| true)
-            .map(|r| r.expect("an unconditional scrub never gives way"))
-    }
-
     /// Integrity-check a single object without repairing anything.
     pub fn verify_object(&self, key: &str) -> Result<ScrubReport, VaultError> {
         self.scan_one(key, false, &|| true)
             .map(|r| r.expect("an unconditional verify never gives way"))
     }
 
-    /// Like [`scrub_object`](Vault::scrub_object), but cooperatively
-    /// abandonable: `keep_going` is consulted before every slot read and
-    /// once more before the vote, verification and repair writes start.
-    /// When it turns false the scrub returns `Ok(None)` having mutated
-    /// nothing — the caller retries the whole object on a later tick.
-    /// This bounds how long a background scrubber can monopolize the
-    /// store to one slot read instead of a full sweep.
+    /// Scrub (with repair) a single object — the unit of work the
+    /// preservation service's background scrubber interleaves between
+    /// foreground requests. `keep_going` is consulted before every slot
+    /// read and once more before the vote, verification and repair
+    /// writes start. When it turns false the scrub returns `Ok(None)`
+    /// having mutated nothing — the caller retries the whole object on a
+    /// later tick. This bounds how long a background scrubber can
+    /// monopolize the store to one slot read instead of a full sweep.
+    /// Reports [`VaultError::NotFound`] when no backend stores the key.
     pub fn scrub_object_while(
         &self,
         key: &str,
@@ -1259,7 +1271,7 @@ mod tests {
     }
 
     #[test]
-    fn scrub_object_repairs_one_key_and_reports_absence() {
+    fn object_scrub_repairs_one_key_and_reports_absence() {
         let (vault, backends) = three_replica_vault();
         vault
             .put("a", ObjectKind::Opaque, &Bytes::from_static(b"aa"))
@@ -1271,7 +1283,7 @@ mod tests {
         backends[2].delete("b").unwrap();
 
         // Scrubbing 'a' repairs 'a' only; 'b' stays damaged.
-        let report = vault.scrub_object("a").unwrap();
+        let report = vault.scrub_object_while("a", &|| true).unwrap().unwrap();
         assert_eq!((report.objects, report.corrupt, report.repaired), (1, 1, 1));
         assert!(report.clean(), "{}", report.to_text());
         assert!(matches!(
@@ -1288,7 +1300,7 @@ mod tests {
         ));
 
         assert!(matches!(
-            vault.scrub_object("nope"),
+            vault.scrub_object_while("nope", &|| true),
             Err(VaultError::NotFound(_))
         ));
     }
@@ -1316,7 +1328,7 @@ mod tests {
             "an abandoned scrub must not have repaired anything"
         );
 
-        // An undisturbed pass behaves exactly like scrub_object.
+        // An undisturbed pass repairs.
         let report = vault
             .scrub_object_while("a", &|| true)
             .unwrap()
@@ -1812,6 +1824,122 @@ mod tests {
         let report = vault.scrub().unwrap();
         assert!(!report.clean());
         assert_eq!(report.lost, vec!["fake".to_string()]);
+    }
+
+    /// Three identical 4+2 erasure stores of 40 objects with the same
+    /// damage: one whole backend lost, shards rotted on two objects, and
+    /// `obj-17` cut to three shards (lost beyond repair).
+    fn damaged_erasure_stores() -> Vec<Vault> {
+        (0..3)
+            .map(|_| {
+                let (vault, backends) = erasure_vault(4, 2, 6);
+                for i in 0..40u8 {
+                    let payload = Bytes::from(vec![i; 100 + 13 * i as usize]);
+                    vault
+                        .put(&format!("obj-{i:02}"), ObjectKind::Opaque, &payload)
+                        .unwrap();
+                }
+                for key in backends[2].list("").unwrap() {
+                    backends[2].delete(&key).unwrap();
+                }
+                for (key, backend) in [("obj-05", 0), ("obj-31", 4)] {
+                    let mut rotten = backends[backend].get(key).unwrap().to_vec();
+                    rotten[20] ^= 0x10;
+                    backends[backend].put(key, &Bytes::from(rotten)).unwrap();
+                }
+                for backend in [0, 1] {
+                    backends[backend].delete("obj-17").unwrap();
+                }
+                vault
+            })
+            .collect()
+    }
+
+    #[test]
+    fn threaded_verify_report_equals_the_sequential_one() {
+        let vault = damaged_erasure_stores().swap_remove(0);
+        let sequential = vault.verify().unwrap();
+        assert_eq!(sequential.lost, vec!["obj-17".to_string()]);
+        assert!(sequential
+            .details
+            .iter()
+            .any(|d| d.starts_with("stripe 17: ")));
+        for threads in [2, 4] {
+            assert_eq!(
+                vault.scan(false, threads).unwrap(),
+                sequential,
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn threaded_scrub_report_equals_the_sequential_one() {
+        let mut stores = damaged_erasure_stores();
+        let sequential = stores[0].scrub().unwrap();
+        assert!(sequential.rebuilt > 30, "{}", sequential.to_text());
+        assert_eq!(sequential.lost, vec!["obj-17".to_string()]);
+        assert!(sequential
+            .details
+            .iter()
+            .any(|d| d.starts_with("stripe 31: rebuilt shard")));
+        for (vault, threads) in stores.drain(1..).zip([2, 4]) {
+            assert_eq!(
+                vault.scan(true, threads).unwrap(),
+                sequential,
+                "threads={threads}"
+            );
+            // Healed, except the three shards `obj-17` cannot get back.
+            let again = vault.scan(false, threads).unwrap();
+            assert_eq!(
+                (again.corrupt, again.missing),
+                (0, 3),
+                "{}",
+                again.to_text()
+            );
+            assert_eq!(again.lost, vec!["obj-17".to_string()]);
+        }
+    }
+
+    #[test]
+    fn keys_deleted_after_the_listing_are_left_out_of_the_scan() {
+        // The first slot read of the sweep deletes `b` from every
+        // backend: its stripe then reads as absent, not as damage.
+        let mems: Vec<Arc<MemoryBackend>> =
+            (0..2).map(|_| Arc::new(MemoryBackend::new())).collect();
+        let doomed = mems.clone();
+        let hook: Hook = Arc::new(std::sync::Mutex::new(Some(Box::new(move || {
+            for backend in &doomed {
+                backend.delete("b").unwrap();
+            }
+        }))));
+        let gets = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let vault = Vault::builder()
+            .backends(
+                mems.iter()
+                    .map(|inner| {
+                        Arc::new(HookedBackend {
+                            inner: inner.clone(),
+                            gets: gets.clone(),
+                            hook_at: 1,
+                            hook: hook.clone(),
+                        }) as Arc<dyn StorageBackend>
+                    })
+                    .collect(),
+            )
+            .redundancy(Redundancy::Replicas(2))
+            .build()
+            .unwrap();
+        for key in ["a", "b", "c"] {
+            vault
+                .put(key, ObjectKind::Opaque, &Bytes::from_static(b"x"))
+                .unwrap();
+        }
+        gets.store(0, std::sync::atomic::Ordering::SeqCst);
+        assert!(mems.iter().all(|m| m.get("b").is_ok()));
+        let report = vault.verify().unwrap();
+        assert_eq!((report.objects, report.checked, report.missing), (2, 4, 0));
+        assert!(report.clean(), "{}", report.to_text());
     }
 
     #[test]

@@ -1063,21 +1063,8 @@ fn vault_scan(args: &[String], repair: bool) -> CliResult {
         return Err(CliError::usage("--threads must be at least 1"));
     }
     let registry = std::sync::Arc::new(MetricsRegistry::new());
-    let obs = Obs::metrics_only(registry.clone());
-    let vault = open_vault(&store, None, None, obs.clone())?;
-    let report = if threads > 1 {
-        let opts = ExecOptions::new().threads(threads).with_obs(obs);
-        if repair {
-            daspos::vaultops::scrub_parallel(&vault, &opts)
-        } else {
-            daspos::vaultops::verify_parallel(&vault, &opts)
-        }
-    } else if repair {
-        vault.scrub()
-    } else {
-        vault.verify()
-    }
-    .map_err(|e| e.to_string())?;
+    let vault = open_vault(&store, None, None, Obs::metrics_only(registry.clone()))?;
+    let report = vault.scan(repair, threads).map_err(|e| e.to_string())?;
     println!("{}", report.to_text());
     let snapshot = registry.snapshot();
     println!(

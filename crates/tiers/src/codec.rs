@@ -16,7 +16,6 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use daspos_detsim::raw::{CaloCell, MuonHit, RawEvent, TrackerHit};
-use daspos_hep::digest::FNV64_PRIME;
 use daspos_hep::event::EventHeader;
 use daspos_hep::par;
 use daspos_reco::objects::{
@@ -137,56 +136,9 @@ impl CodecError {
 
 /// FNV-1a 64 — the toolkit's standard content digest, shared by the
 /// integrity seal, the archive container and the conditions-snapshot
-/// text form — re-exported from its one definition in `daspos-hep`.
-pub use daspos_hep::digest::{fnv64, fnv64_resume, FNV64_OFFSET};
-
-/// Most FNV chains [`fnv64_lanes`] runs in lockstep. Four keeps every
-/// state in a register; wider groups measured no faster.
-const FNV64_LANES: usize = 4;
-
-/// [`fnv64_resume`] over several independent buffers at once:
-/// `states[i]` becomes `fnv64_resume(states[i], bufs[i])`.
-///
-/// One FNV-1a chain is a serial dependency — each byte's multiply waits
-/// for the previous one — so a single digest runs at multiply latency.
-/// Interleaving up to four independent chains byte by byte lets their
-/// multiplies overlap, which digests a stripe of equal-length shards in
-/// roughly the time of one of them. The lanes run in lockstep over the
-/// bytes every buffer of a group has; a longer buffer finishes its tail
-/// serially, so unequal lengths are correct, merely slower. Outputs are
-/// bit-identical to per-buffer [`fnv64`], unlike the word-wide
-/// [`fnv64_wide`](crate::colnar::fnv64_wide), which is a different
-/// digest.
-pub fn fnv64_lanes(states: &mut [u64], bufs: &[&[u8]]) {
-    assert_eq!(states.len(), bufs.len(), "one state per buffer");
-    for (states, bufs) in states.chunks_mut(FNV64_LANES).zip(bufs.chunks(FNV64_LANES)) {
-        let common = bufs.iter().map(|b| b.len()).min().unwrap_or(0);
-        match states.len() {
-            4 => fnv64_lockstep::<4>(states, bufs, common),
-            3 => fnv64_lockstep::<3>(states, bufs, common),
-            2 => fnv64_lockstep::<2>(states, bufs, common),
-            _ => fnv64_lockstep::<1>(states, bufs, common),
-        }
-        for (state, buf) in states.iter_mut().zip(bufs) {
-            *state = fnv64_resume(*state, &buf[common..]);
-        }
-    }
-}
-
-/// `N` FNV-1a chains over the first `len` bytes of each buffer, one
-/// byte of every chain per step.
-#[inline(always)]
-#[allow(clippy::needless_range_loop)] // byte i of every lane per step is the point
-fn fnv64_lockstep<const N: usize>(states: &mut [u64], bufs: &[&[u8]], len: usize) {
-    let mut h: [u64; N] = states.try_into().expect("N states");
-    let bufs: [&[u8]; N] = std::array::from_fn(|lane| &bufs[lane][..len]);
-    for i in 0..len {
-        for lane in 0..N {
-            h[lane] = (h[lane] ^ u64::from(bufs[lane][i])).wrapping_mul(FNV64_PRIME);
-        }
-    }
-    states.copy_from_slice(&h);
-}
+/// text form — and its lockstep-lane form, re-exported from their one
+/// definition in `daspos-hep`.
+pub use daspos_hep::digest::{fnv64, fnv64_lanes, fnv64_resume, FNV64_OFFSET};
 
 /// Magic of the integrity seal: "DASPOS Sealed".
 pub const SEAL_MAGIC: &[u8; 4] = b"DPSL";
@@ -209,6 +161,26 @@ pub fn seal(payload: &Bytes) -> Bytes {
     buf.freeze()
 }
 
+/// The structure of an integrity seal, without its digest check: the
+/// digest the seal stores and the payload bytes that digest covers (a
+/// zero-copy window into `data`). Fails as [`unseal`] does on a buffer
+/// shorter than the seal or a wrong magic.
+///
+/// `unseal` is this plus one [`fnv64`] over the covered bytes; a caller
+/// that hashes the same bytes for other reasons — the vault's read
+/// sweep — can run the seal's digest as one more lane of that pass and
+/// compare it against the stored value itself.
+pub fn seal_parts(data: &Bytes) -> Result<(u64, Bytes), CodecError> {
+    if data.len() < SEAL_OVERHEAD {
+        return Err(CodecError::UnexpectedEof);
+    }
+    if &data[..4] != SEAL_MAGIC {
+        return Err(CodecError::BadMagic);
+    }
+    let stored = u64::from_le_bytes(data[4..SEAL_OVERHEAD].try_into().expect("8-byte slice"));
+    Ok((stored, data.slice(SEAL_OVERHEAD..)))
+}
+
 /// Verify and strip an integrity seal, returning the payload.
 ///
 /// Zero-copy: the returned `Bytes` is a window into the same backing
@@ -216,19 +188,12 @@ pub fn seal(payload: &Bytes) -> Bytes {
 /// copied (the digest pass reads them once, as it must). Holding the
 /// result keeps the sealed buffer alive.
 pub fn unseal(data: &Bytes) -> Result<Bytes, CodecError> {
-    let mut b = data.clone();
-    need(&b, SEAL_OVERHEAD)?;
-    let mut magic = [0u8; 4];
-    b.copy_to_slice(&mut magic);
-    if &magic != SEAL_MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let stored = b.get_u64_le();
-    let actual = fnv64(&b);
+    let (stored, payload) = seal_parts(data)?;
+    let actual = fnv64(&payload);
     if stored != actual {
         return Err(CodecError::SealMismatch { stored, actual });
     }
-    Ok(b)
+    Ok(payload)
 }
 
 #[inline]
@@ -1528,6 +1493,35 @@ mod tests {
             unseal(&Bytes::from_static(b"XXXXXXXXXXXXXXXX")).unwrap_err(),
             CodecError::BadMagic
         );
+        // Length is checked before the magic.
+        assert_eq!(
+            unseal(&Bytes::from_static(b"XXXX")).unwrap_err(),
+            CodecError::UnexpectedEof
+        );
+    }
+
+    #[test]
+    fn seal_parts_splits_without_checking_the_digest() {
+        let payload = AodEvent::encode_events(&[sample_aod()]);
+        let sealed = seal(&payload);
+        let (stored, covered) = seal_parts(&sealed).unwrap();
+        assert_eq!((stored, &covered), (fnv64(&payload), &payload));
+        assert_eq!(covered.as_ptr(), sealed[SEAL_OVERHEAD..].as_ptr());
+        // A rotted payload still splits; only `unseal` hashes it.
+        let mut rotted = sealed.to_vec();
+        *rotted.last_mut().unwrap() ^= 0xFF;
+        let rotted = Bytes::from(rotted);
+        assert_eq!(seal_parts(&rotted).unwrap().0, stored);
+        assert!(matches!(
+            unseal(&rotted),
+            Err(CodecError::SealMismatch { .. })
+        ));
+        for cut in 0..SEAL_OVERHEAD {
+            assert_eq!(
+                seal_parts(&sealed.slice(..cut)).unwrap_err(),
+                CodecError::UnexpectedEof
+            );
+        }
     }
 
     #[test]

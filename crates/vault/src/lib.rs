@@ -59,8 +59,8 @@ pub use erasure::{Erasure, ErasureError};
 pub use flaky::{FlakyBackend, FlakyConfig};
 pub use object::{
     decode_envelope, encode_envelope, envelope_digest, ColumnarVerifier, ConditionsVerifier,
-    EnvelopeError, ObjectKind, SealedTierVerifier, Verifier, ENVELOPE_MAGIC, ENVELOPE_OVERHEAD,
-    ENVELOPE_VERSION,
+    DigestClaim, EnvelopeError, ObjectKind, SealedTierVerifier, Verifier, ENVELOPE_MAGIC,
+    ENVELOPE_OVERHEAD, ENVELOPE_VERSION,
 };
 pub use policy::RetryPolicy;
 pub use shard::{

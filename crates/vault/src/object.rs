@@ -18,10 +18,15 @@
 //! checksum that catches payload rot. Scrub classifies a replica copy by
 //! decoding the envelope; a copy that decodes and — when a [`Verifier`]
 //! for its kind is registered — passes deep verification is healthy.
+//! A verified read takes every digest it needs over one envelope in a
+//! single lane pass.
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use daspos_conditions::Snapshot;
-use daspos_tiers::codec::{self, fnv64, fnv64_lanes, fnv64_resume};
+use daspos_tiers::codec::{self, fnv64, fnv64_lanes, fnv64_resume, CodecError, FNV64_OFFSET};
 
 /// Envelope magic: **D**ASPOS **P**reservation **V**ault **O**bject.
 pub const ENVELOPE_MAGIC: &[u8; 4] = b"DPVO";
@@ -210,22 +215,6 @@ pub fn decode_envelope(data: &Bytes) -> Result<(ObjectKind, Bytes), EnvelopeErro
     Ok((kind, payload))
 }
 
-/// `fnv64(data)` — the object digest a `DPVS` stripe records — beside
-/// [`decode_envelope`]`(data)`, both digests computed in one two-lane
-/// pass over the payload ([`fnv64_lanes`]).
-pub(crate) fn digest_and_decode_envelope(
-    data: &Bytes,
-) -> (u64, Result<(ObjectKind, Bytes), EnvelopeError>) {
-    let (kind, payload) = match parse_envelope(data) {
-        Ok(parts) => parts,
-        Err(e) => return (fnv64(data), Err(e)),
-    };
-    let mut states = [fnv64(&data[..ENVELOPE_OVERHEAD]), fnv64(&[kind.as_u8()])];
-    fnv64_lanes(&mut states, &[&payload, &payload]);
-    let decoded = check_digest(data, states[1]).map(|()| (kind, payload));
-    (states[0], decoded)
-}
-
 fn check_digest(envelope: &[u8], computed: u64) -> Result<(), EnvelopeError> {
     let stored = stored_digest(envelope);
     if stored != computed {
@@ -234,24 +223,152 @@ fn check_digest(envelope: &[u8], computed: u64) -> Result<(), EnvelopeError> {
     Ok(())
 }
 
-/// A deep integrity check for one [`ObjectKind`], applied by scrub (and
-/// checksum-verified reads) after the envelope digest passes.
+/// The FNV-1a digest comparison a deep [`Verifier`]'s check reduces to:
+/// the payload is sound exactly when
+/// `fnv64_resume(start, &bytes) == stored`.
+pub struct DigestClaim {
+    /// Digest state before `bytes` ([`FNV64_OFFSET`] for a plain
+    /// [`fnv64`]).
+    pub start: u64,
+    /// The bytes the digest covers, usually a window into the payload.
+    pub bytes: Bytes,
+    /// The digest the payload stores for them.
+    pub stored: u64,
+    /// The verifier's failure message when the digest over `bytes`
+    /// comes out as `computed` instead of `stored`.
+    pub mismatch: fn(stored: u64, computed: u64) -> String,
+}
+
+impl DigestClaim {
+    /// Settle the claim against `computed`, the digest of `bytes` from
+    /// `start`, however the caller obtained it.
+    pub fn settle(&self, computed: u64) -> Result<(), String> {
+        if computed == self.stored {
+            Ok(())
+        } else {
+            Err((self.mismatch)(self.stored, computed))
+        }
+    }
+
+    /// Compute the digest serially and settle the claim.
+    pub fn check(&self) -> Result<(), String> {
+        self.settle(fnv64_resume(self.start, &self.bytes))
+    }
+}
+
+/// A deep integrity check for one [`ObjectKind`], applied to the object
+/// every verified read and integrity pass elects, once the object's own
+/// digests pass.
 ///
 /// The envelope digest catches bit rot; a verifier catches *semantic*
 /// damage — a seal whose inner digest disagrees, a container whose
 /// manifest doesn't match its sections — including damage predating the
 /// object's arrival in the vault.
+///
+/// A check that comes down to one FNV-1a comparison can be stated as a
+/// [`DigestClaim`] by [`claim`](Verifier::claim). The vault then runs
+/// the claim's digest in the same lane pass as the envelope's own
+/// digests and settles it there; it does not call
+/// [`verify`](Verifier::verify) for such a verifier, so `verify` must
+/// reach the same verdict, with the same message, on its own for every
+/// other caller. A verifier that makes no claim — the default, and any
+/// wrapper that forwards only `kind` and `verify` — is run by calling
+/// `verify` once for each generation the vault reconstructs.
 pub trait Verifier: Send + Sync {
     /// The kind this verifier understands.
     fn kind(&self) -> ObjectKind;
 
     /// Check the payload; a message describing the damage on failure.
     fn verify(&self, payload: &Bytes) -> Result<(), String>;
+
+    /// The digest comparison `verify` reduces to for `payload`, with
+    /// the checks that precede it already made: `None` when the check
+    /// is not a single digest (the default), `Some(Err(reason))` when
+    /// the payload fails before any digest — `reason` being what
+    /// `verify` reports — and `Some(Ok(claim))` when the payload is
+    /// sound exactly if `claim` settles.
+    fn claim(&self, payload: &Bytes) -> Option<Result<DigestClaim, String>> {
+        let _ = payload;
+        None
+    }
+}
+
+/// Deep verifiers by kind, as a vault registers them.
+pub(crate) type Verifiers = BTreeMap<ObjectKind, Arc<dyn Verifier>>;
+
+/// The digests of one `DPVO` envelope, taken by [`sweep`].
+pub(crate) struct Swept {
+    /// `fnv64` of the whole envelope — a stripe's object digest — when
+    /// asked for.
+    pub object: Option<u64>,
+    /// The envelope's kind and payload, or why it does not decode.
+    pub decoded: Result<(ObjectKind, Bytes), EnvelopeError>,
+    /// The settled [`DigestClaim`] of the kind's verifier; `None` when
+    /// the envelope does not parse or no registered verifier claims a
+    /// digest for it.
+    pub deep: Option<Result<(), String>>,
+}
+
+/// Every digest a verified read takes over `data`, in one
+/// [`fnv64_lanes`] call: the `DPVO` digest, the claim of the registered
+/// verifier for the envelope's kind, and with `whole` the object digest
+/// `fnv64(data)`. All three cover the same payload bytes, so the lanes
+/// cost about one serial pass. Equal to [`decode_envelope`], `fnv64`
+/// and [`Verifier::verify`] run one after the other; a caller reads
+/// the results in that order.
+pub(crate) fn sweep(data: &Bytes, whole: bool, verifiers: &Verifiers) -> Swept {
+    let (kind, payload) = match parse_envelope(data) {
+        Ok(parts) => parts,
+        Err(e) => {
+            return Swept {
+                object: whole.then(|| fnv64(data)),
+                decoded: Err(e),
+                deep: None,
+            }
+        }
+    };
+    let claim = verifiers.get(&kind).and_then(|v| v.claim(&payload));
+    let mut states = [fnv64(&[kind.as_u8()]), 0, 0];
+    let mut bufs: [&[u8]; 3] = [&payload, &[], &[]];
+    let mut lanes = 1;
+    if whole {
+        states[lanes] = fnv64(&data[..ENVELOPE_OVERHEAD]);
+        bufs[lanes] = &payload;
+        lanes += 1;
+    }
+    if let Some(Ok(claim)) = &claim {
+        states[lanes] = claim.start;
+        bufs[lanes] = &claim.bytes;
+        lanes += 1;
+    }
+    fnv64_lanes(&mut states[..lanes], &bufs[..lanes]);
+    let claimed = states[lanes - 1];
+    Swept {
+        object: whole.then(|| states[1]),
+        decoded: check_digest(data, states[0]).map(|()| (kind, payload)),
+        deep: claim.map(|claim| claim.and_then(|claim| claim.settle(claimed))),
+    }
 }
 
 /// Deep verifier for [`ObjectKind::SealedTier`]: the payload must
-/// unseal, i.e. carry a valid DPSL magic and matching inner digest.
+/// unseal, i.e. carry a valid DPSL magic and matching inner digest. Its
+/// check is the seal's digest, so it states it as a [`DigestClaim`].
 pub struct SealedTierVerifier;
+
+impl SealedTierVerifier {
+    fn seal_claim(payload: &Bytes) -> Result<DigestClaim, String> {
+        fn failed(e: CodecError) -> String {
+            format!("seal verification failed: {e}")
+        }
+        let (stored, bytes) = codec::seal_parts(payload).map_err(failed)?;
+        Ok(DigestClaim {
+            start: FNV64_OFFSET,
+            bytes,
+            stored,
+            mismatch: |stored, actual| failed(CodecError::SealMismatch { stored, actual }),
+        })
+    }
+}
 
 impl Verifier for SealedTierVerifier {
     fn kind(&self) -> ObjectKind {
@@ -259,9 +376,11 @@ impl Verifier for SealedTierVerifier {
     }
 
     fn verify(&self, payload: &Bytes) -> Result<(), String> {
-        codec::unseal(payload)
-            .map(|_| ())
-            .map_err(|e| format!("seal verification failed: {e}"))
+        Self::seal_claim(payload)?.check()
+    }
+
+    fn claim(&self, payload: &Bytes) -> Option<Result<DigestClaim, String>> {
+        Some(Self::seal_claim(payload))
     }
 }
 
@@ -340,22 +459,46 @@ mod tests {
     }
 
     #[test]
-    fn fused_digest_agrees_with_fnv64_and_decode_under_every_flip_and_truncation() {
-        let pristine = encode_envelope(ObjectKind::SealedTier, &Bytes::from_static(b"lanes agree"));
+    fn sweep_agrees_with_decode_fnv64_and_verify_under_every_flip_and_truncation() {
+        let verifiers: Verifiers = BTreeMap::from([(
+            ObjectKind::SealedTier,
+            Arc::new(SealedTierVerifier) as Arc<dyn Verifier>,
+        )]);
+        let sealed = codec::seal(&Bytes::from_static(b"lanes agree"));
         let check = |data: Bytes| {
-            assert_eq!(
-                digest_and_decode_envelope(&data),
-                (fnv64(&data), decode_envelope(&data)),
-                "{:?}",
-                data
-            );
+            let decoded = decode_envelope(&data);
+            let deep = match &decoded {
+                Ok((ObjectKind::SealedTier, payload)) => Some(SealedTierVerifier.verify(payload)),
+                _ => None,
+            };
+            for whole in [false, true] {
+                let swept = sweep(&data, whole, &verifiers);
+                assert_eq!(swept.object, whole.then(|| fnv64(&data)), "{data:?}");
+                assert_eq!(swept.decoded, decoded, "{data:?}");
+                // A claim is settled whenever the header parses, even
+                // if the envelope digest then fails.
+                if decoded.is_ok() {
+                    assert_eq!(swept.deep, deep, "{data:?}");
+                }
+            }
         };
-        check(pristine.clone());
-        for at in 0..pristine.len() {
-            let mut bad = pristine.to_vec();
+        for pristine in [
+            encode_envelope(ObjectKind::SealedTier, &sealed),
+            encode_envelope(ObjectKind::Opaque, &sealed),
+        ] {
+            check(pristine.clone());
+            for at in 0..pristine.len() {
+                let mut bad = pristine.to_vec();
+                bad[at] ^= 0xA5;
+                check(Bytes::from(bad));
+                check(pristine.slice(..at));
+            }
+        }
+        for at in 0..sealed.len() {
+            let mut bad = sealed.to_vec();
             bad[at] ^= 0xA5;
-            check(Bytes::from(bad));
-            check(pristine.slice(..at));
+            check(encode_envelope(ObjectKind::SealedTier, &Bytes::from(bad)));
+            check(encode_envelope(ObjectKind::SealedTier, &sealed.slice(..at)));
         }
     }
 
@@ -423,5 +566,29 @@ mod tests {
         bad[last] ^= 0xFF;
         assert!(v.verify(&Bytes::from(bad)).is_err());
         assert!(v.verify(&Bytes::from_static(b"no seal here")).is_err());
+    }
+
+    #[test]
+    fn sealed_tier_claim_reports_what_unseal_reports() {
+        let v = SealedTierVerifier;
+        let sealed = codec::seal(&Bytes::from_static(b"payload"));
+        let mut rotted = sealed.to_vec();
+        *rotted.last_mut().unwrap() ^= 0xFF;
+        for data in [
+            sealed.clone(),
+            Bytes::from(rotted),
+            Bytes::from_static(b"no seal here"),
+            Bytes::from_static(b"DPSL"),
+        ] {
+            let unsealed = codec::unseal(&data)
+                .map(|_| ())
+                .map_err(|e| format!("seal verification failed: {e}"));
+            let claimed = v.claim(&data).expect("a seal check is a digest claim");
+            assert_eq!(claimed.and_then(|c| c.check()), unsealed);
+            assert_eq!(v.verify(&data), unsealed);
+        }
+        // Verifiers that make no claim are left to `verify`.
+        assert!(ColumnarVerifier.claim(&sealed).is_none());
+        assert!(ConditionsVerifier.claim(&sealed).is_none());
     }
 }

@@ -27,12 +27,14 @@
 //!    batch, so a stripe's shard digests run in parallel FNV lanes;
 //! 2. **vote**: the generation backed by the most healthy slots wins,
 //!    deterministically tie-broken;
-//! 3. **reconstruct** the winner and verify it once end to end (object
-//!    digest and envelope digest in one two-lane pass, then the deep
-//!    [`Verifier`] for its kind). A winner that fails is disqualified
-//!    and the next generation gets its turn; a winner with fewer than
-//!    `k` slots is reported loudly as [`VaultError::Unrecoverable`] —
-//!    the vault never fabricates bytes;
+//! 3. **reconstruct** the winner and verify it once end to end: the
+//!    object digest, the envelope digest and the digest claimed by the
+//!    deep [`Verifier`] for its kind run in one lane pass over the
+//!    payload (a copy's in the pass that classified it), and a verifier
+//!    that claims no digest is called after it. A winner that fails is
+//!    disqualified and the next generation gets its turn; a winner with
+//!    fewer than `k` slots is reported loudly as
+//!    [`VaultError::Unrecoverable`] — the vault never fabricates bytes;
 //! 4. **repair** the slots that disagree with the verified generation,
 //!    encoding only those slots, stamped with the verified generation
 //!    rather than re-hashing the object. `get` heals only slots it
@@ -66,8 +68,8 @@ use daspos_tiers::codec::fnv64;
 use crate::backend::{StorageBackend, StorageError};
 use crate::erasure::Erasure;
 use crate::object::{
-    decode_envelope, digest_and_decode_envelope, encode_envelope, parse_envelope, stored_digest,
-    ColumnarVerifier, ConditionsVerifier, ObjectKind, SealedTierVerifier, Verifier,
+    encode_envelope, parse_envelope, stored_digest, sweep, ColumnarVerifier, ConditionsVerifier,
+    ObjectKind, SealedTierVerifier, Verifier, Verifiers,
 };
 use crate::policy::RetryPolicy;
 use crate::shard::{decode_stripe, encode_shard, encode_stripe, ShardHeader};
@@ -190,13 +192,13 @@ pub struct VaultBuilder {
     backends: Vec<Arc<dyn StorageBackend>>,
     redundancy: Option<Redundancy>,
     policy: RetryPolicy,
-    verifiers: BTreeMap<ObjectKind, Arc<dyn Verifier>>,
+    verifiers: Verifiers,
     obs: Obs,
 }
 
 impl VaultBuilder {
     fn new() -> VaultBuilder {
-        let mut verifiers: BTreeMap<ObjectKind, Arc<dyn Verifier>> = BTreeMap::new();
+        let mut verifiers = Verifiers::new();
         verifiers.insert(ObjectKind::SealedTier, Arc::new(SealedTierVerifier));
         verifiers.insert(ObjectKind::ConditionsText, Arc::new(ConditionsVerifier));
         verifiers.insert(ObjectKind::ColumnarAod, Arc::new(ColumnarVerifier));
@@ -229,7 +231,8 @@ impl VaultBuilder {
     }
 
     /// Register (or replace) the deep verifier for one object kind.
-    /// `SealedTier` and `ConditionsText` verifiers are pre-registered.
+    /// [`SealedTierVerifier`], [`ConditionsVerifier`] and
+    /// [`ColumnarVerifier`] are pre-registered.
     pub fn verifier(mut self, verifier: Arc<dyn Verifier>) -> VaultBuilder {
         self.verifiers.insert(verifier.kind(), verifier);
         self
@@ -292,9 +295,13 @@ type Generation = (u32, u64);
 enum Slot {
     /// The slot was read (and, for a shard, decoded) and belongs to
     /// `gen`; `payload` is its shard, or the whole copy for replicas.
+    /// `deep` is a copy's settled verifier claim from the sweep that
+    /// classified it — `None` for a shard, or when no verifier claims
+    /// a digest for the copy's kind.
     Healthy {
         gen: Generation,
         payload: Bytes,
+        deep: Option<Result<(), String>>,
     },
     Corrupt(String),
     Missing,
@@ -311,11 +318,13 @@ impl Slot {
 }
 
 /// A generation's object, reassembled and checked: the `DPVO` envelope
-/// and the kind and payload it wraps.
+/// and the kind and payload it wraps, and the settled claim of its
+/// kind's verifier (`None`: no claim, `verify` decides).
 struct Object {
     envelope: Bytes,
     kind: ObjectKind,
     payload: Bytes,
+    deep: Option<Result<(), String>>,
 }
 
 /// The slot codec — the only place the redundancy mode matters.
@@ -394,14 +403,19 @@ impl SlotCodec {
     }
 
     /// Classify the reads of one stripe, slot by slot. A copy must pass
-    /// its envelope digest, which is then its generation; a copy
-    /// identical to an earlier healthy one joins that one's generation
-    /// unhashed. A shard must pass its digest — the whole stripe's
-    /// digests run in lanes — and its geometry is cross-checked against
-    /// the vault's and its index against the slot it was read from,
-    /// which is what catches geometry tampering even when the shard
-    /// digest was recomputed.
-    fn classify(&self, reads: Vec<Result<Bytes, StorageError>>) -> Vec<Slot> {
+    /// its envelope digest, which is then its generation; the same
+    /// sweep settles its verifier's claim. A copy identical to an
+    /// earlier healthy one joins that one's generation unhashed. A
+    /// shard must pass its digest — the whole stripe's digests run in
+    /// lanes — and its geometry is cross-checked against the vault's
+    /// and its index against the slot it was read from, which is what
+    /// catches geometry tampering even when the shard digest was
+    /// recomputed.
+    fn classify(
+        &self,
+        reads: Vec<Result<Bytes, StorageError>>,
+        verifiers: &Verifiers,
+    ) -> Vec<Slot> {
         match self {
             SlotCodec::Copies(_) => {
                 let mut slots: Vec<Slot> = Vec::with_capacity(reads.len());
@@ -409,16 +423,26 @@ impl SlotCodec {
                     let slot = match read {
                         Ok(raw) => {
                             let same = slots.iter().find_map(|s| match s {
-                                Slot::Healthy { gen, payload } if *payload == raw => Some(*gen),
+                                Slot::Healthy { gen, payload, deep } if *payload == raw => {
+                                    Some((*gen, deep.clone()))
+                                }
                                 _ => None,
                             });
-                            let gen = match same {
-                                Some(gen) => Ok(gen),
-                                None => decode_envelope(&raw)
-                                    .map(|_| (raw.len() as u32, stored_digest(&raw))),
+                            let checked = match same {
+                                Some(known) => Ok(known),
+                                None => {
+                                    let swept = sweep(&raw, false, verifiers);
+                                    swept.decoded.map(|_| {
+                                        ((raw.len() as u32, stored_digest(&raw)), swept.deep)
+                                    })
+                                }
                             };
-                            match gen {
-                                Ok(gen) => Slot::Healthy { gen, payload: raw },
+                            match checked {
+                                Ok((gen, deep)) => Slot::Healthy {
+                                    gen,
+                                    payload: raw,
+                                    deep,
+                                },
                                 Err(e) => Slot::Corrupt(e.to_string()),
                             }
                         }
@@ -457,6 +481,7 @@ impl SlotCodec {
                             Ok((header, payload)) => Slot::Healthy {
                                 gen: (header.object_len, header.object_digest),
                                 payload,
+                                deep: None,
                             },
                             Err(e) => Slot::Corrupt(e.to_string()),
                         },
@@ -469,36 +494,45 @@ impl SlotCodec {
 
     /// Reassemble generation `gen`'s object from its healthy slots. A
     /// decoded stripe must match the generation's object digest and pass
-    /// its own envelope digest, both checked in one two-lane pass. A
-    /// copy was digest-checked when it was classified (or is identical
-    /// to one that was), so only its header is parsed. The pipeline
-    /// runs the deep verifier.
-    fn reconstruct(&self, slots: &[Slot], gen: Generation) -> Result<Object, String> {
+    /// its own envelope digest; one [`sweep`] takes both digests and the
+    /// verifier's claim together. A copy was swept when it was
+    /// classified (or is identical to one that was), so only its header
+    /// is parsed. The pipeline reads the settled claim, or runs the
+    /// verifier when it made none.
+    fn reconstruct(
+        &self,
+        slots: &[Slot],
+        gen: Generation,
+        verifiers: &Verifiers,
+    ) -> Result<Object, String> {
         let members = slots.iter().map(|s| match s {
-            Slot::Healthy { gen: g, payload } if *g == gen => Some(payload),
+            Slot::Healthy {
+                gen: g,
+                payload,
+                deep,
+            } if *g == gen => Some((payload, deep)),
             _ => None,
         });
-        let (envelope, decoded) = match self {
+        let (envelope, decoded, deep) = match self {
             SlotCodec::Copies(_) => {
-                let copy = members
+                let (copy, deep) = members
                     .flatten()
                     .next()
-                    .expect("the vote counted a copy of this generation")
-                    .clone();
-                let decoded = parse_envelope(&copy);
-                (copy, decoded)
+                    .expect("the vote counted a copy of this generation");
+                (copy.clone(), parse_envelope(copy), deep.clone())
             }
             SlotCodec::Shards(ec) => {
-                let shards: Vec<Option<&[u8]>> = members.map(|p| p.map(Bytes::as_ref)).collect();
+                let shards: Vec<Option<&[u8]>> =
+                    members.map(|m| m.map(|(p, _)| p.as_ref())).collect();
                 let envelope = Bytes::from(
                     ec.decode(&shards, gen.0 as usize)
                         .map_err(|e| e.to_string())?,
                 );
-                let (object_digest, decoded) = digest_and_decode_envelope(&envelope);
-                if object_digest != gen.1 {
+                let swept = sweep(&envelope, true, verifiers);
+                if swept.object != Some(gen.1) {
                     return Err("reconstructed object digest mismatch".to_string());
                 }
-                (envelope, decoded)
+                (envelope, swept.decoded, swept.deep)
             }
         };
         let (kind, payload) = decoded.map_err(|e| format!("object envelope: {e}"))?;
@@ -506,6 +540,7 @@ impl SlotCodec {
             envelope,
             kind,
             payload,
+            deep,
         })
     }
 }
@@ -639,7 +674,7 @@ pub struct Vault {
     backends: Vec<Arc<dyn StorageBackend>>,
     codec: SlotCodec,
     policy: RetryPolicy,
-    verifiers: BTreeMap<ObjectKind, Arc<dyn Verifier>>,
+    verifiers: Verifiers,
     obs: Obs,
 }
 
@@ -769,7 +804,7 @@ impl Vault {
             let backend = &self.backends[self.slot_backend(key, i)];
             reads.push(self.with_retry(|| backend.get(key)));
         }
-        Some(self.codec.classify(reads))
+        Some(self.codec.classify(reads, &self.verifiers))
     }
 
     /// Vote and verify: walk the generations in vote order until one
@@ -810,14 +845,18 @@ impl Vault {
 
     /// Reconstruct generation `gen` and verify it end to end (object
     /// digest, envelope digest, deep verifier) before anyone trusts the
-    /// bytes.
+    /// bytes. A verifier's claim was settled in the read's one digest
+    /// sweep; only a verifier that made none is called here.
     fn verified(&self, slots: &[Slot], gen: Generation) -> Result<Object, String> {
-        let object = self.codec.reconstruct(slots, gen)?;
-        if let Some(verifier) = self.verifiers.get(&object.kind) {
-            verifier
-                .verify(&object.payload)
-                .map_err(|reason| format!("deep verification: {reason}"))?;
-        }
+        let mut object = self.codec.reconstruct(slots, gen, &self.verifiers)?;
+        let deep = match object.deep.take() {
+            Some(settled) => settled,
+            None => match self.verifiers.get(&object.kind) {
+                Some(verifier) => verifier.verify(&object.payload),
+                None => Ok(()),
+            },
+        };
+        deep.map_err(|reason| format!("deep verification: {reason}"))?;
         Ok(object)
     }
 

@@ -10,7 +10,7 @@
 //! simulation, codec layout, sealing, or container format shows up as a
 //! corpus diff, not as silent drift. `chain-digests.txt` pins the
 //! LHCb charm chain and the ATLAS and ALICE Z chains by fnv64 of their
-//! AOD, skim, ntuple and results.
+//! RAW, AOD, skim, ntuple and results.
 //!
 //! After an *intended* format change, refresh the corpus with
 //!
@@ -173,13 +173,14 @@ fn chain_digests() -> String {
         let output = workflow
             .execute(&ctx, &ExecOptions::default())
             .expect("chain executes");
-        let skim: Vec<u8> = ctx
-            .catalog
-            .get(output.skim_dataset)
-            .expect("skim dataset")
-            .file_data()
-            .flat_map(|data| data.iter().copied())
-            .collect();
+        let files = |id| -> Vec<u8> {
+            ctx.catalog
+                .get(id)
+                .expect("chain dataset")
+                .file_data()
+                .flat_map(|data| data.iter().copied())
+                .collect()
+        };
         let mut ntuple = Vec::new();
         for i in 0..output.ntuple.n_rows() {
             for v in output.ntuple.row(i) {
@@ -187,8 +188,9 @@ fn chain_digests() -> String {
             }
         }
         let artifacts = [
+            ("raw", files(output.raw_dataset)),
             ("aod", AodEvent::encode_events(&output.aod_events).to_vec()),
-            ("skim", skim),
+            ("skim", files(output.skim_dataset)),
             ("ntuple", ntuple),
             ("results", output.results_to_text().into_bytes()),
         ];

@@ -18,6 +18,9 @@ pub mod config;
 pub mod raw;
 pub mod simulate;
 
+#[cfg(test)]
+mod oracle;
+
 pub use config::{CaloConfig, DetectorConfig, Experiment, MuonConfig, TrackerConfig};
 pub use raw::{CaloCell, MuonHit, RawEvent, TrackerHit};
 pub use simulate::DetectorSimulation;

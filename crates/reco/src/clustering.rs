@@ -9,12 +9,11 @@
 //!
 //! The tower grid is a flat `Vec` sorted by `(ieta, iphi)`: cells are
 //! stable-sorted and each tower sums its cells in their original order,
-//! neighbours are found by binary search and each tower carries its own
-//! visit mark. Seeds are taken in ascending tower order and the BFS
-//! visits neighbours in a fixed order, so every cluster sum is formed in
-//! the same order as with an ordered map, bit for bit. On the replay
-//! events measured in [`crate::jets`] (13.6 cells per event) this costs
-//! 2.5–2.6 µs per event, where the two ordered maps cost 4.1–4.2 µs.
+//! each tower carries its own visit mark, and a tower's neighbours are
+//! found with one binary search per η row. Seeds are taken in ascending
+//! tower order and the BFS visits neighbours in a fixed order, so every
+//! cluster sum is formed in the same order as with an ordered map, bit
+//! for bit.
 
 use std::collections::VecDeque;
 
@@ -99,18 +98,18 @@ pub fn cluster_cells(
             sum_phi_x += e * phi.cos();
             sum_phi_y += e * phi.sin();
             n_towers += 1;
-            for deta in -1..=1 {
-                for dphi in -1..=1 {
-                    if deta == 0 && dphi == 0 {
-                        continue;
+            // One lower-bound search per η row, then a walk over the
+            // row's towers at iφ−1..=iφ+1: neighbours are reached in
+            // ascending (Δη, Δφ), and the tower itself is already marked.
+            for row in ieta - 1..=ieta + 1 {
+                let last = (row, iphi + 1);
+                let mut n = grid.partition_point(|t| t.key < (row, iphi - 1));
+                while n < grid.len() && grid[n].key <= last {
+                    if !grid[n].visited {
+                        grid[n].visited = true;
+                        queue.push_back(n);
                     }
-                    let nb = (ieta + deta, iphi + dphi);
-                    if let Ok(n) = grid.binary_search_by_key(&nb, |t| t.key) {
-                        if !grid[n].visited {
-                            grid[n].visited = true;
-                            queue.push_back(n);
-                        }
-                    }
+                    n += 1;
                 }
             }
         }

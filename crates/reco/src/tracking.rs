@@ -7,6 +7,8 @@
 //! from the circle's distance of closest approach to the beamline, and the
 //! longitudinal parameters from a linear fit of z against arc length.
 
+use std::borrow::Cow;
+
 use daspos_detsim::raw::TrackerHit;
 
 use crate::objects::Track;
@@ -180,10 +182,17 @@ fn solve3(mut a: [[f64; 3]; 3], mut b: [f64; 3]) -> Option<[f64; 3]> {
 }
 
 /// Group raw hits by stub and fit each group, stubs in ascending order
-/// and each stub's hits in readout order (a stable sort by stub).
+/// and each stub's hits in readout order (a stable sort by stub). The
+/// simulation writes hits already grouped that way, and those are fitted
+/// in place; any other order is sorted into a copy first.
 pub fn fit_all(hits: &[TrackerHit], field_tesla: f64) -> Vec<Track> {
-    let mut by_stub = hits.to_vec();
-    by_stub.sort_by_key(|h| h.stub);
+    let by_stub: Cow<'_, [TrackerHit]> = if hits.is_sorted_by_key(|h| h.stub) {
+        Cow::Borrowed(hits)
+    } else {
+        let mut sorted = hits.to_vec();
+        sorted.sort_by_key(|h| h.stub);
+        Cow::Owned(sorted)
+    };
     let mut tracks: Vec<Track> = by_stub
         .chunk_by(|a, b| a.stub == b.stub)
         .filter_map(|hs| fit_track(hs, field_tesla))
@@ -385,5 +394,27 @@ mod tests {
         for w in tracks.windows(2) {
             assert!(w[0].pt >= w[1].pt);
         }
+    }
+
+    #[test]
+    fn fit_all_regroups_hits_out_of_stub_order() {
+        let gen = EventGenerator::new(GeneratorConfig::new(ProcessKind::QcdDijet, 3));
+        let sim = DetectorSimulation::new(
+            Experiment::Cms.detector(),
+            Arc::new(DbSource::connect(nominal_conditions(), "mc")),
+            SeedSequence::new(3),
+        );
+        let raw = sim.simulate(&gen.event(0), 0).unwrap();
+        assert!(raw.tracker_hits.is_sorted_by_key(|h| h.stub));
+        // Stubs in reverse order, each stub's hits still in readout order.
+        let reversed: Vec<TrackerHit> = raw
+            .tracker_hits
+            .chunk_by(|a, b| a.stub == b.stub)
+            .rev()
+            .flatten()
+            .copied()
+            .collect();
+        assert!(raw.stub_count() >= 2 && !reversed.is_sorted_by_key(|h| h.stub));
+        assert_eq!(fit_all(&reversed, 3.8), fit_all(&raw.tracker_hits, 3.8));
     }
 }

@@ -40,12 +40,12 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
-use daspos_obs::Obs;
+use daspos_obs::{Counter, Obs};
 use daspos_tiers::codec::{fnv64, fnv64_resume, FNV64_OFFSET};
 use daspos_vault::{ObjectKind, Vault, VaultError};
 
@@ -495,6 +495,10 @@ pub struct Service {
     next_stream: AtomicU64,
     streams: Mutex<HashMap<u64, PutStream>>,
     ledger: Mutex<Ledger>,
+    /// The `serve.ops.<op>` counters, in [`Op::ALL`] order, each resolved
+    /// on its op's first request so that an op never served stays absent
+    /// from snapshots.
+    op_counters: [OnceLock<Counter>; Op::ALL.len()],
 }
 
 /// RAII slot in the global admission gate.
@@ -536,6 +540,7 @@ impl Service {
             next_stream: AtomicU64::new(1),
             streams: Mutex::new(HashMap::new()),
             ledger: Mutex::new(Ledger::default()),
+            op_counters: Default::default(),
         }
     }
 
@@ -745,7 +750,12 @@ impl Service {
             }
         };
         self.stats.ops.fetch_add(1, Ordering::Relaxed);
-        self.counter(&format!("serve.ops.{}", req.op.name()), 1);
+        if let Some(reg) = self.obs.registry() {
+            // Discriminants run 1..=12 in `Op::ALL` order.
+            self.op_counters[usize::from(req.op.as_u8()) - 1]
+                .get_or_init(|| reg.counter(&format!("serve.ops.{}", req.op.name())))
+                .inc();
+        }
         let mut span = self
             .obs
             .tracer
@@ -1638,5 +1648,44 @@ fn worker_loop(service: Arc<Service>, queue: Arc<Mutex<VecDeque<Conn>>>, epoch: 
                 idle_wait(idle_passes);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use daspos_obs::MetricsRegistry;
+    use daspos_vault::{MemoryBackend, StorageBackend};
+
+    #[test]
+    fn op_counters_appear_once_their_op_is_served() {
+        // The counter slots are indexed by discriminant − 1.
+        for (i, op) in Op::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(op.as_u8()), i + 1);
+        }
+        let vault = Vault::builder()
+            .backends(vec![
+                Arc::new(MemoryBackend::new()) as Arc<dyn StorageBackend>,
+                Arc::new(MemoryBackend::new()),
+            ])
+            .build()
+            .unwrap();
+        let reg = Arc::new(MetricsRegistry::new());
+        let service = Service::new(
+            vault,
+            &ServeConfig::default(),
+            Obs::metrics_only(Arc::clone(&reg)),
+        );
+        for op in [Op::Stat, Op::Get, Op::Stat] {
+            service.handle(&Request::control(op, "cms", "aod.dpef"));
+        }
+        let snap = reg.snapshot();
+        let ops: Vec<(&str, u64)> = snap
+            .counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("serve.ops."))
+            .map(|(name, &n)| (name.as_str(), n))
+            .collect();
+        assert_eq!(ops, [("serve.ops.get", 1), ("serve.ops.stat", 2)]);
     }
 }

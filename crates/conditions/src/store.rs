@@ -7,8 +7,7 @@
 //! calls for.
 
 use std::collections::BTreeMap;
-
-use parking_lot::RwLock;
+use std::sync::{PoisonError, RwLock};
 
 use crate::error::ConditionsError;
 use crate::iov::{IovKey, IovSequence, RunRange};
@@ -174,7 +173,7 @@ impl ConditionsStore {
     /// Create a global tag; returns an error if it already exists (reuse
     /// would silently mix condition versions).
     pub fn create_tag(&self, name: &str) -> Result<(), ConditionsError> {
-        let mut tags = self.tags.write();
+        let mut tags = self.tags.write().unwrap_or_else(PoisonError::into_inner);
         if tags.contains_key(name) {
             return Err(ConditionsError::TagFrozen(format!(
                 "{name} (already exists)"
@@ -192,7 +191,7 @@ impl ConditionsStore {
         range: RunRange,
         payload: Payload,
     ) -> Result<(), ConditionsError> {
-        let mut tags = self.tags.write();
+        let mut tags = self.tags.write().unwrap_or_else(PoisonError::into_inner);
         let t = tags
             .get_mut(tag)
             .ok_or_else(|| ConditionsError::UnknownTag(tag.to_string()))?;
@@ -202,7 +201,7 @@ impl ConditionsStore {
     /// Freeze a tag: all subsequent writes fail, reads are guaranteed
     /// stable. Production tags are frozen before processing starts.
     pub fn freeze(&self, tag: &str) -> Result<(), ConditionsError> {
-        let mut tags = self.tags.write();
+        let mut tags = self.tags.write().unwrap_or_else(PoisonError::into_inner);
         let t = tags
             .get_mut(tag)
             .ok_or_else(|| ConditionsError::UnknownTag(tag.to_string()))?;
@@ -212,7 +211,7 @@ impl ConditionsStore {
 
     /// Resolve `(tag, key, run)` to a payload clone.
     pub fn resolve(&self, tag: &str, key: &IovKey, run: u32) -> Result<Payload, ConditionsError> {
-        let tags = self.tags.read();
+        let tags = self.tags.read().unwrap_or_else(PoisonError::into_inner);
         let t = tags
             .get(tag)
             .ok_or_else(|| ConditionsError::UnknownTag(tag.to_string()))?;
@@ -225,7 +224,7 @@ impl ConditionsStore {
         tag: &str,
         f: impl FnOnce(&GlobalTag) -> R,
     ) -> Result<R, ConditionsError> {
-        let tags = self.tags.read();
+        let tags = self.tags.read().unwrap_or_else(PoisonError::into_inner);
         let t = tags
             .get(tag)
             .ok_or_else(|| ConditionsError::UnknownTag(tag.to_string()))?;
@@ -234,14 +233,14 @@ impl ConditionsStore {
 
     /// Names of all tags in the store.
     pub fn tag_names(&self) -> Vec<String> {
-        self.tags.read().keys().cloned().collect()
+        self.tags.read().unwrap_or_else(PoisonError::into_inner).keys().cloned().collect()
     }
 
     /// Summed `(cursor_hits, lookups)` over every tag — the store-wide
     /// IoV-cursor effectiveness gauge surfaced by the trace layer.
     pub fn cursor_stats(&self) -> (u64, u64) {
         self.tags
-            .read()
+            .read().unwrap_or_else(PoisonError::into_inner)
             .values()
             .fold((0, 0), |(hits, lookups), tag| {
                 let (h, l) = tag.cursor_stats();

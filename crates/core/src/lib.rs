@@ -45,6 +45,7 @@
 pub mod alloc_counter;
 pub mod archive;
 pub mod error;
+pub mod experiments;
 pub mod faultlab;
 pub mod levels;
 pub mod migrate;

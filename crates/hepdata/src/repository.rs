@@ -1,9 +1,9 @@
 //! The reactions-database repository.
 
 use std::collections::BTreeMap;
+use std::sync::{PoisonError, RwLock};
 
 use daspos_hep::ids::{IdAllocator, RecordId};
-use parking_lot::RwLock;
 
 use crate::record::{DataTable, HepDataRecord};
 
@@ -62,13 +62,13 @@ impl HepDataRepository {
 
     /// Insert a submission; INSPIRE ids are unique.
     pub fn insert(&self, submission: Submission) -> Result<RecordId, HepDataError> {
-        let mut by_inspire = self.by_inspire.write();
+        let mut by_inspire = self.by_inspire.write().unwrap_or_else(PoisonError::into_inner);
         if by_inspire.contains_key(&submission.inspire_id) {
             return Err(HepDataError::DuplicateInspireId(submission.inspire_id));
         }
         let id = RecordId(self.ids.allocate());
         by_inspire.insert(submission.inspire_id, id);
-        self.records.write().insert(
+        self.records.write().unwrap_or_else(PoisonError::into_inner).insert(
             id,
             HepDataRecord {
                 id,
@@ -86,7 +86,7 @@ impl HepDataRepository {
     /// Fetch by record id.
     pub fn get(&self, id: RecordId) -> Result<HepDataRecord, HepDataError> {
         self.records
-            .read()
+            .read().unwrap_or_else(PoisonError::into_inner)
             .get(&id)
             .cloned()
             .ok_or(HepDataError::UnknownRecord(id))
@@ -95,15 +95,15 @@ impl HepDataRepository {
     /// Fetch via the INSPIRE cross link — the report notes that *"INSPIRE
     /// entries often contain links to entries … in the HepData archive"*.
     pub fn by_inspire(&self, inspire_id: u64) -> Option<HepDataRecord> {
-        let id = *self.by_inspire.read().get(&inspire_id)?;
-        self.records.read().get(&id).cloned()
+        let id = *self.by_inspire.read().unwrap_or_else(PoisonError::into_inner).get(&inspire_id)?;
+        self.records.read().unwrap_or_else(PoisonError::into_inner).get(&id).cloned()
     }
 
     /// Case-insensitive keyword search across titles, reactions,
     /// experiments and keywords.
     pub fn search(&self, needle: &str) -> Vec<HepDataRecord> {
         self.records
-            .read()
+            .read().unwrap_or_else(PoisonError::into_inner)
             .values()
             .filter(|r| r.matches(needle))
             .cloned()
@@ -113,7 +113,7 @@ impl HepDataRepository {
     /// Add a table to an existing record (the "very large upload" case:
     /// search analyses append acceptance grids over time).
     pub fn append_table(&self, id: RecordId, table: DataTable) -> Result<(), HepDataError> {
-        let mut records = self.records.write();
+        let mut records = self.records.write().unwrap_or_else(PoisonError::into_inner);
         let rec = records
             .get_mut(&id)
             .ok_or(HepDataError::UnknownRecord(id))?;
@@ -123,19 +123,19 @@ impl HepDataRepository {
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.records.read().len()
+        self.records.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// True when the repository has no records.
     pub fn is_empty(&self) -> bool {
-        self.records.read().is_empty()
+        self.records.read().unwrap_or_else(PoisonError::into_inner).is_empty()
     }
 
     /// Record sizes in bytes, ordered by record id — the distribution
     /// experiment H1 reports.
     pub fn size_distribution(&self) -> Vec<(RecordId, usize)> {
         self.records
-            .read()
+            .read().unwrap_or_else(PoisonError::into_inner)
             .values()
             .map(|r| (r.id, r.byte_size()))
             .collect()

@@ -8,9 +8,9 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::sync::{PoisonError, RwLock};
 
 use daspos_hep::ids::{DatasetId, IdAllocator, StepId};
-use parking_lot::RwLock;
 
 use crate::software::SoftwareStack;
 
@@ -190,13 +190,13 @@ impl ProvenanceGraph {
     /// Declare a dataset that enters the system without a recorded
     /// producer (real detector data, or an import with lost provenance).
     pub fn declare_root(&self, ds: DatasetId) {
-        self.inner.write().datasets.insert(ds);
+        self.inner.write().unwrap_or_else(PoisonError::into_inner).datasets.insert(ds);
     }
 
     /// Record a step execution. Inputs must already exist; outputs must
     /// not already have a producer.
     pub fn record(&self, builder: StepBuilder) -> Result<StepId, ProvenanceError> {
-        let mut g = self.inner.write();
+        let mut g = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         for input in &builder.inputs {
             if !g.datasets.contains(input) {
                 return Err(ProvenanceError::UnknownInput(*input));
@@ -236,14 +236,14 @@ impl ProvenanceGraph {
 
     /// The step that produced a dataset, if recorded.
     pub fn producer_of(&self, ds: DatasetId) -> Option<StepRecord> {
-        let g = self.inner.read();
+        let g = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         g.producer.get(&ds).and_then(|s| g.steps.get(s)).cloned()
     }
 
     /// Full lineage of a dataset: every ancestor step, ordered from the
     /// dataset's producer back to the roots.
     pub fn lineage(&self, ds: DatasetId) -> Result<Vec<StepRecord>, ProvenanceError> {
-        let g = self.inner.read();
+        let g = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         if !g.datasets.contains(&ds) {
             return Err(ProvenanceError::UnknownDataset(ds));
         }
@@ -267,7 +267,7 @@ impl ProvenanceGraph {
 
     /// All datasets derived (transitively) from `ds`.
     pub fn descendants(&self, ds: DatasetId) -> Result<Vec<DatasetId>, ProvenanceError> {
-        let g = self.inner.read();
+        let g = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         if !g.datasets.contains(&ds) {
             return Err(ProvenanceError::UnknownDataset(ds));
         }
@@ -291,7 +291,7 @@ impl ProvenanceGraph {
     /// A dataset becomes an orphan when it is referenced as a step input
     /// via [`ProvenanceGraph::reference_unchecked`].
     pub fn orphans(&self) -> Vec<DatasetId> {
-        let g = self.inner.read();
+        let g = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         g.datasets
             .iter()
             .filter(|d| !g.producer.contains_key(d) && !g.roots_contains(d))
@@ -302,7 +302,7 @@ impl ProvenanceGraph {
     /// Force-register a dataset reference without provenance (simulates a
     /// processing system that does not record parentage).
     pub fn reference_unchecked(&self, ds: DatasetId) {
-        let mut g = self.inner.write();
+        let mut g = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         g.datasets.insert(ds);
         g.orphan_marks.insert(ds);
     }
@@ -310,7 +310,7 @@ impl ProvenanceGraph {
     /// Completeness: the fraction of known datasets whose lineage reaches
     /// only declared roots or recorded producers (i.e. not orphans).
     pub fn completeness(&self) -> f64 {
-        let g = self.inner.read();
+        let g = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         let total = g.datasets.len();
         if total == 0 {
             return 1.0;
@@ -325,22 +325,22 @@ impl ProvenanceGraph {
 
     /// Number of recorded steps.
     pub fn step_count(&self) -> usize {
-        self.inner.read().steps.len()
+        self.inner.read().unwrap_or_else(PoisonError::into_inner).steps.len()
     }
 
     /// Number of known datasets.
     pub fn dataset_count(&self) -> usize {
-        self.inner.read().datasets.len()
+        self.inner.read().unwrap_or_else(PoisonError::into_inner).datasets.len()
     }
 
     /// Every recorded step, ordered by id.
     pub fn all_steps(&self) -> Vec<StepRecord> {
-        self.inner.read().steps.values().cloned().collect()
+        self.inner.read().unwrap_or_else(PoisonError::into_inner).steps.values().cloned().collect()
     }
 
     /// Declared roots (datasets allowed to have no producer).
     pub fn roots(&self) -> Vec<DatasetId> {
-        let g = self.inner.read();
+        let g = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         g.datasets
             .iter()
             .filter(|d| !g.producer.contains_key(d) && g.roots_contains(d))

@@ -20,7 +20,6 @@
 //! Each reports a [`BackendCost`] so the R1/R2 experiments can compare.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use daspos_conditions::ConditionsSource;
 use daspos_detsim::{DetectorConfig, DetectorSimulation};
@@ -45,8 +44,6 @@ pub struct BackendCost {
     pub bytes_touched: u64,
     /// Conditions-database lookups performed.
     pub conditions_lookups: u64,
-    /// Wall-clock milliseconds.
-    pub wall_ms: u128,
 }
 
 /// The outcome of processing a request.
@@ -123,7 +120,6 @@ impl FullChainBackend {
 
 impl RecastBackend for FullChainBackend {
     fn process(&self, request: &RecastRequest) -> Result<RecastOutput, BackendError> {
-        let start = Instant::now();
         let analysis = self
             .registry
             .get(&request.analysis_key)
@@ -174,7 +170,6 @@ impl RecastBackend for FullChainBackend {
                 events_reconstructed: request.n_events,
                 bytes_touched: bytes,
                 conditions_lookups: self.conditions.stats().lookups(),
-                wall_ms: start.elapsed().as_millis(),
             },
         })
     }
@@ -200,7 +195,6 @@ impl RivetBridgeBackend {
 
 impl RecastBackend for RivetBridgeBackend {
     fn process(&self, request: &RecastRequest) -> Result<RecastOutput, BackendError> {
-        let start = Instant::now();
         let analysis = self
             .registry
             .get(&request.analysis_key)
@@ -228,7 +222,6 @@ impl RecastBackend for RivetBridgeBackend {
                 events_reconstructed: 0,
                 bytes_touched: bytes,
                 conditions_lookups: 0,
-                wall_ms: start.elapsed().as_millis(),
             },
         })
     }
@@ -286,7 +279,6 @@ impl SmearedBackend {
 
 impl RecastBackend for SmearedBackend {
     fn process(&self, request: &RecastRequest) -> Result<RecastOutput, BackendError> {
-        let start = Instant::now();
         let analysis = self
             .registry
             .get(&request.analysis_key)
@@ -320,7 +312,6 @@ impl RecastBackend for SmearedBackend {
                 events_reconstructed: 0,
                 bytes_touched: bytes,
                 conditions_lookups: 0,
-                wall_ms: start.elapsed().as_millis(),
             },
         })
     }

@@ -7,12 +7,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use daspos_gen::NewPhysicsParams;
 use daspos_hep::ids::{IdAllocator, RequestId};
-use parking_lot::{Condvar, Mutex};
 
 use crate::backend::{RecastBackend, RecastOutput};
 use crate::request::{RecastRequest, RequestState};
@@ -52,6 +51,14 @@ impl std::fmt::Display for FrontendError {
 
 impl std::error::Error for FrontendError {}
 
+/// Lock a front-end mutex, recovering a poisoned one: no holder leaves
+/// the guarded value half-updated (the queue is only received from, and
+/// each board update is a single insert or remove), so a panic elsewhere
+/// must not take the front end down with it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[derive(Default)]
 struct Board {
     states: BTreeMap<RequestId, RequestState>,
@@ -83,15 +90,15 @@ impl RecastFrontEnd {
             workers.push(std::thread::spawn(move || loop {
                 // The queue lock is released at the end of this statement,
                 // before the request is processed.
-                let Ok(request) = rx.lock().recv() else {
+                let Ok(request) = lock(&rx).recv() else {
                     break;
                 };
                 {
-                    let mut b = board.0.lock();
+                    let mut b = lock(&board.0);
                     b.states.insert(request.id, RequestState::Running);
                 }
                 let outcome = backend.process(&request);
-                let mut b = board.0.lock();
+                let mut b = lock(&board.0);
                 match outcome {
                     Ok(output) => {
                         b.outputs.insert(request.id, output);
@@ -129,7 +136,7 @@ impl RecastFrontEnd {
             requester: requester.to_string(),
         };
         {
-            let mut b = self.board.0.lock();
+            let mut b = lock(&self.board.0);
             b.states.insert(id, RequestState::Queued);
         }
         self.tx
@@ -142,9 +149,7 @@ impl RecastFrontEnd {
 
     /// Current state of a request.
     pub fn state(&self, id: RequestId) -> Result<RequestState, FrontendError> {
-        self.board
-            .0
-            .lock()
+        lock(&self.board.0)
             .states
             .get(&id)
             .copied()
@@ -153,12 +158,12 @@ impl RecastFrontEnd {
 
     /// Block until the request leaves the queue/running states.
     pub fn wait(&self, id: RequestId) -> Result<RequestState, FrontendError> {
-        let mut guard = self.board.0.lock();
+        let mut guard = lock(&self.board.0);
         loop {
             match guard.states.get(&id) {
                 None => return Err(FrontendError::UnknownRequest(id)),
                 Some(RequestState::Queued) | Some(RequestState::Running) => {
-                    self.board.1.wait(&mut guard);
+                    guard = self.board.1.wait(guard).unwrap_or_else(PoisonError::into_inner);
                 }
                 Some(state) => return Ok(*state),
             }
@@ -181,7 +186,7 @@ impl RecastFrontEnd {
         from: RequestState,
         to: RequestState,
     ) -> Result<(), FrontendError> {
-        let mut b = self.board.0.lock();
+        let mut b = lock(&self.board.0);
         let state = *b
             .states
             .get(&id)
@@ -200,7 +205,7 @@ impl RecastFrontEnd {
     /// Fetch a released result (the requester's view). Unreleased results
     /// are invisible — the experiment's control the report highlights.
     pub fn fetch(&self, id: RequestId) -> Result<RecastOutput, FrontendError> {
-        let b = self.board.0.lock();
+        let b = lock(&self.board.0);
         match b.states.get(&id) {
             None => Err(FrontendError::UnknownRequest(id)),
             Some(RequestState::Released) => Ok(b
@@ -216,7 +221,7 @@ impl RecastFrontEnd {
     /// experiment-internal "back door" the report says RECAST needs to be
     /// useful to the collaboration itself.
     pub fn fetch_internal(&self, id: RequestId) -> Result<RecastOutput, FrontendError> {
-        let b = self.board.0.lock();
+        let b = lock(&self.board.0);
         b.outputs
             .get(&id)
             .cloned()

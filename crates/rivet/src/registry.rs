@@ -6,10 +6,9 @@
 //! analyses plus, optionally, the reference data shipped with each.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use daspos_hep::hist::Hist1D;
-use parking_lot::RwLock;
 
 use crate::analysis::{Analysis, AnalysisMetadata};
 
@@ -37,18 +36,19 @@ impl AnalysisRegistry {
     /// replaces the entry (a new analysis version).
     pub fn register(&self, analysis: Box<dyn Analysis>) {
         let key = analysis.metadata().key;
-        self.analyses.write().insert(key, Arc::from(analysis));
+        let mut analyses = self.analyses.write().unwrap_or_else(PoisonError::into_inner);
+        analyses.insert(key, Arc::from(analysis));
     }
 
     /// Look up an analysis by key.
     pub fn get(&self, key: &str) -> Option<Arc<dyn Analysis>> {
-        self.analyses.read().get(key).cloned()
+        self.analyses.read().unwrap_or_else(PoisonError::into_inner).get(key).cloned()
     }
 
     /// Metadata of every registered analysis, ordered by key.
     pub fn list(&self) -> Vec<AnalysisMetadata> {
         self.analyses
-            .read()
+            .read().unwrap_or_else(PoisonError::into_inner)
             .values()
             .map(|a| a.metadata())
             .collect()
@@ -56,23 +56,24 @@ impl AnalysisRegistry {
 
     /// Number of registered analyses.
     pub fn len(&self) -> usize {
-        self.analyses.read().len()
+        self.analyses.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// True when no analyses are registered.
     pub fn is_empty(&self) -> bool {
-        self.analyses.read().is_empty()
+        self.analyses.read().unwrap_or_else(PoisonError::into_inner).is_empty()
     }
 
     /// Attach reference data (the measured distributions shipped with the
     /// analysis) to a key.
     pub fn set_reference(&self, key: &str, data: BTreeMap<String, Hist1D>) {
-        self.references.write().insert(key.to_string(), data);
+        let mut references = self.references.write().unwrap_or_else(PoisonError::into_inner);
+        references.insert(key.to_string(), data);
     }
 
     /// The reference data for a key, if shipped.
     pub fn reference(&self, key: &str) -> Option<BTreeMap<String, Hist1D>> {
-        self.references.read().get(key).cloned()
+        self.references.read().unwrap_or_else(PoisonError::into_inner).get(key).cloned()
     }
 }
 

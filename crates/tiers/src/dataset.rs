@@ -6,10 +6,10 @@
 //! thread-safe: RECAST back-end workers read datasets concurrently.
 
 use std::collections::BTreeMap;
+use std::sync::{PoisonError, RwLock};
 
 use bytes::Bytes;
 use daspos_hep::ids::{DatasetId, FileId, IdAllocator};
-use parking_lot::RwLock;
 
 use crate::tier::DataTier;
 
@@ -109,7 +109,7 @@ impl DatasetCatalog {
         tier: DataTier,
         files: Vec<(Bytes, u64)>,
     ) -> Result<DatasetId, CatalogError> {
-        let mut by_name = self.by_name.write();
+        let mut by_name = self.by_name.write().unwrap_or_else(PoisonError::into_inner);
         if by_name.contains_key(name) {
             return Err(CatalogError::DuplicateName(name.to_string()));
         }
@@ -131,7 +131,10 @@ impl DatasetCatalog {
             n_bytes: stored.iter().map(|f| f.data.len() as u64).sum(),
             n_files: stored.len() as u32,
         };
-        self.inner.write().insert(id, Dataset { meta, files: stored });
+        self.inner
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id, Dataset { meta, files: stored });
         by_name.insert(name.to_string(), id);
         Ok(id)
     }
@@ -139,7 +142,7 @@ impl DatasetCatalog {
     /// Fetch a dataset clone by id.
     pub fn get(&self, id: DatasetId) -> Result<Dataset, CatalogError> {
         self.inner
-            .read()
+            .read().unwrap_or_else(PoisonError::into_inner)
             .get(&id)
             .cloned()
             .ok_or(CatalogError::UnknownDataset(id))
@@ -147,18 +150,19 @@ impl DatasetCatalog {
 
     /// Look up a dataset id by name.
     pub fn find(&self, name: &str) -> Option<DatasetId> {
-        self.by_name.read().get(name).copied()
+        self.by_name.read().unwrap_or_else(PoisonError::into_inner).get(name).copied()
     }
 
     /// Metadata of every dataset, ordered by id.
     pub fn list(&self) -> Vec<DatasetMeta> {
-        self.inner.read().values().map(|d| d.meta.clone()).collect()
+        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
+        inner.values().map(|d| d.meta.clone()).collect()
     }
 
     /// Metadata of every dataset for one experiment.
     pub fn list_experiment(&self, experiment: &str) -> Vec<DatasetMeta> {
         self.inner
-            .read()
+            .read().unwrap_or_else(PoisonError::into_inner)
             .values()
             .filter(|d| d.meta.experiment == experiment)
             .map(|d| d.meta.clone())
@@ -167,15 +171,16 @@ impl DatasetCatalog {
 
     /// Delete a dataset (e.g. a failed production). Returns its metadata.
     pub fn delete(&self, id: DatasetId) -> Result<DatasetMeta, CatalogError> {
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let ds = inner.remove(&id).ok_or(CatalogError::UnknownDataset(id))?;
-        self.by_name.write().remove(&ds.meta.name);
+        self.by_name.write().unwrap_or_else(PoisonError::into_inner).remove(&ds.meta.name);
         Ok(ds.meta)
     }
 
     /// Total bytes under management.
     pub fn total_bytes(&self) -> u64 {
-        self.inner.read().values().map(|d| d.meta.n_bytes).sum()
+        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
+        inner.values().map(|d| d.meta.n_bytes).sum()
     }
 }
 

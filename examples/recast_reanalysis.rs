@@ -84,7 +84,7 @@ fn main() {
     println!(
         "\n(back end re-ran generation, full detector simulation and reconstruction \
          for every point — the cost the report contrasts with the light RIVET path; \
-         see `cargo bench -p daspos-bench --bench r1_rivet_vs_recast`)"
+         see `daspos-cli experiment r1`)"
     );
     frontend.shutdown();
 }

@@ -9,8 +9,8 @@
 //! daspos trace    --experiment cms --events 200 --seed 42 --out trace.jsonl
 //! daspos vault    put z.dpar --store vault/ --key z.dpar
 //! daspos vault    scrub --store vault/
-//! daspos table1
-//! daspos maturity
+//! daspos experiment t1
+//! daspos experiment all
 //! ```
 //!
 //! Exit codes are uniform across subcommands: 0 on success, 1 when a
@@ -65,16 +65,12 @@ fn main() -> ExitCode {
         Some("inspect") => cmd_inspect(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
         Some("migrate") => cmd_migrate(&args[1..]),
-        Some("table1") => {
-            println!("{}", daspos_outreach::experiments::render_table1());
-            Ok(())
-        }
         Some("trace") => cmd_trace(&args[1..]),
         Some("faultlab") => cmd_faultlab(&args[1..]),
         Some("vault") => cmd_vault(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("loadgen") => cmd_loadgen(&args[1..]),
-        Some("maturity") => cmd_maturity(),
+        Some("experiment") => cmd_experiment(&args[1..]),
         Some("help") | Some("--help") | None => {
             print_usage();
             Ok(())
@@ -195,10 +191,13 @@ USAGE:
         report their own sput/sget p50/p99 lines; prints latencies and
         throughput, exits 1 on any verification failure; --shutdown stops
         the server afterwards
-  daspos table1
-        print the Table 1 outreach feature matrix
-  daspos maturity
-        print the Appendix A maturity rubric table"
+  daspos experiment <id|all>
+        regenerate one of the paper's experiments from the running system
+        and print its report (t1 Table 1, m1 the Appendix A maturity
+        rubrics, w1 w2 w3 the workflow analysis, r1 r2 r3 RIVET and
+        RECAST, h1 HepData, o1 the outreach converter, p1 p2 migration
+        and metadata; EXPERIMENTS.md records each); 'all' prints every
+        report"
     );
 }
 
@@ -1088,25 +1087,19 @@ fn vault_scan(args: &[String], repair: bool) -> CliResult {
     }
 }
 
-fn cmd_maturity() -> CliResult {
-    use daspos_metadata::maturity::MaturityReport;
-    use daspos_metadata::presets::interview_for;
-    use daspos_metadata::sharing::PolicyStatus;
-    println!(
-        "{:>8} {:>10} {:>12} {:>13} {:>8}  policy",
-        "expt", "data-mgmt", "description", "preservation", "sharing"
-    );
-    for name in ["alice", "atlas", "cms", "lhcb"] {
-        let policy = PolicyStatus::report_2014(name);
-        let r = MaturityReport::assess(&interview_for(name), policy);
-        println!(
-            "{name:>8} {:>10} {:>12} {:>13} {:>8}  {}",
-            r.data_management.to_string(),
-            r.description.to_string(),
-            r.preservation.to_string(),
-            r.sharing.to_string(),
-            policy.describe()
-        );
-    }
+fn cmd_experiment(args: &[String]) -> CliResult {
+    use daspos::experiments;
+    let ids = || experiments::ALL.map(|(id, _, _)| id).join(", ");
+    let id = args
+        .first()
+        .ok_or_else(|| CliError::usage(format!("experiment needs an id ({} or all)", ids())))?;
+    let report = if id == "all" {
+        experiments::render_all()
+    } else {
+        experiments::render(id).ok_or_else(|| {
+            CliError::usage(format!("unknown experiment '{id}' (want {} or all)", ids()))
+        })?
+    };
+    print!("{}", report.map_err(|e| e.to_string())?);
     Ok(())
 }

@@ -279,12 +279,39 @@ fn serve_and_loadgen_usage_errors_exit_two() {
 }
 
 #[test]
+fn experiment_all_exits_zero() {
+    let out = run(&["experiment", "all"]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    for (id, _, _) in daspos::experiments::ALL {
+        let banner = format!("===== {}: ", id.to_uppercase());
+        assert!(text.contains(&banner), "missing {banner}");
+    }
+}
+
+#[test]
+fn experiment_reports_are_deterministic() {
+    // No report reads a clock, so two renderings in one process agree
+    // byte for byte.
+    let first = daspos::experiments::render_all().expect("experiments run");
+    let second = daspos::experiments::render_all().expect("experiments run");
+    assert!(first == second, "experiment reports differ between runs");
+}
+
+#[test]
 fn usage_errors_exit_two() {
     // Unknown command / subcommand.
     assert_eq!(code(&run(&["no-such-command"])), 2);
     assert_eq!(code(&run(&["vault", "frobnicate"])), 2);
     // `bench` is not a command: perfbench/ is the benchmark.
     assert_eq!(code(&run(&["bench"])), 2);
+    // `table1` and `maturity` are not commands: `experiment t1` and
+    // `experiment m1` print those reports.
+    assert_eq!(code(&run(&["table1"])), 2);
+    assert_eq!(code(&run(&["maturity"])), 2);
+    // An experiment id is required and must be one of the paper's.
+    assert_eq!(code(&run(&["experiment"])), 2);
+    assert_eq!(code(&run(&["experiment", "no-such-id"])), 2);
     // Missing required arguments.
     assert_eq!(code(&run(&["vault", "put"])), 2);
     assert_eq!(code(&run(&["vault", "scrub"])), 2);

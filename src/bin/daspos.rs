@@ -209,6 +209,22 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
+/// The campaign shape `faultlab` and `vault scrub --selftest` share:
+/// `--seed`, `--mutations` (per class) and `--events` over the defaults.
+fn campaign_config(args: &[String]) -> Result<daspos::faultlab::CampaignConfig, CliError> {
+    let mut cfg = daspos::faultlab::CampaignConfig::default();
+    if let Some(seed) = flag(args, "--seed") {
+        cfg.master_seed = seed.parse().map_err(|_| "bad --seed")?;
+    }
+    if let Some(m) = flag(args, "--mutations") {
+        cfg.mutations_per_class = m.parse().map_err(|_| "bad --mutations")?;
+    }
+    if let Some(e) = flag(args, "--events") {
+        cfg.events = e.parse().map_err(|_| "bad --events")?;
+    }
+    Ok(cfg)
+}
+
 /// Parse the mutually exclusive redundancy pair `--replicas N` /
 /// `--erasure k,m`. `None` means neither flag was given (the caller
 /// picks its default).
@@ -502,33 +518,27 @@ fn cmd_migrate(args: &[String]) -> CliResult {
 }
 
 fn cmd_faultlab(args: &[String]) -> CliResult {
-    use daspos::faultlab::{self, ArtifactClass, CampaignConfig, Outcome};
-    let mut cfg = CampaignConfig::default();
-    if let Some(seed) = flag(args, "--seed") {
-        cfg.master_seed = seed.parse().map_err(|_| "bad --seed")?;
-    }
-    if let Some(m) = flag(args, "--mutations") {
-        cfg.mutations_per_class = m.parse().map_err(|_| "bad --mutations")?;
-    }
-    if let Some(e) = flag(args, "--events") {
-        cfg.events = e.parse().map_err(|_| "bad --events")?;
-    }
+    use daspos::faultlab::{self, ArtifactClass, Outcome};
+    let cfg = campaign_config(args)?;
+    let class = |name: &str| {
+        ArtifactClass::parse(name).ok_or_else(|| {
+            CliError::usage(format!(
+                "unknown class '{name}' (one of: {})",
+                ArtifactClass::all().map(|c| c.name()).join(", ")
+            ))
+        })
+    };
 
     let classes: Vec<ArtifactClass> = match flag(args, "--classes") {
         Some(spec) => {
-            let parsed: Vec<ArtifactClass> = spec
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(|name| {
-                    ArtifactClass::parse(name).ok_or_else(|| {
-                        CliError::usage(format!(
-                            "unknown class '{name}' (one of: {})",
-                            ArtifactClass::all().map(|c| c.name()).join(", ")
-                        ))
-                    })
-                })
-                .collect::<Result<_, _>>()?;
+            let mut parsed: Vec<ArtifactClass> = Vec::new();
+            for name in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+                let c = class(name)?;
+                if parsed.contains(&c) {
+                    return Err(CliError::usage(format!("--classes names '{name}' twice")));
+                }
+                parsed.push(c);
+            }
             if parsed.is_empty() {
                 return Err(CliError::usage("--classes wants at least one class name"));
             }
@@ -541,12 +551,7 @@ fn cmd_faultlab(args: &[String]) -> CliResult {
         let (class_name, index) = coords
             .split_once(':')
             .ok_or("--replay wants <class>:<index>, e.g. tier-aod:17")?;
-        let class = ArtifactClass::parse(class_name).ok_or_else(|| {
-            CliError::usage(format!(
-                "unknown class '{class_name}' (one of: {})",
-                ArtifactClass::all().map(|c| c.name()).join(", ")
-            ))
-        })?;
+        let class = class(class_name)?;
         let index: u32 = index.parse().map_err(|_| "bad replay index")?;
         let (mutation, outcome) =
             faultlab::replay(&cfg, class, index).map_err(|e| e.to_string())?;
@@ -992,7 +997,7 @@ fn vault_get(args: &[String]) -> CliResult {
 }
 
 fn vault_scan(args: &[String], repair: bool) -> CliResult {
-    use daspos::faultlab::{self, ArtifactClass, CampaignConfig};
+    use daspos::faultlab::{self, ArtifactClass};
     if args.iter().any(|a| a == "--selftest") {
         if !repair {
             return Err(CliError::usage("--selftest only applies to 'vault scrub'"));
@@ -1000,12 +1005,22 @@ fn vault_scan(args: &[String], repair: bool) -> CliResult {
         // --erasure k,m drills the sharded vault (the vault-shard fault
         // class); with no redundancy flag the drill is the original
         // single-replica-corruption campaign.
-        let class = match redundancy_flags(args)? {
-            None => ArtifactClass::VaultReplica,
+        let (class, drill) = match redundancy_flags(args)? {
+            None => (
+                ArtifactClass::VaultReplica,
+                "single-replica mutations".to_string(),
+            ),
             Some(Redundancy::Erasure {
                 k: faultlab::SHARD_K,
                 m: faultlab::SHARD_M,
-            }) => ArtifactClass::VaultShard,
+            }) => (
+                ArtifactClass::VaultShard,
+                format!(
+                    "shard-stripe mutations over a {}+{} erasure vault",
+                    faultlab::SHARD_K,
+                    faultlab::SHARD_M
+                ),
+            ),
             Some(other) => {
                 return Err(CliError::usage(format!(
                     "the scrub drill supports --erasure {},{} (the fixture geometry) \
@@ -1015,35 +1030,27 @@ fn vault_scan(args: &[String], repair: bool) -> CliResult {
                 )))
             }
         };
-        let mut cfg = CampaignConfig::default();
-        if let Some(seed) = flag(args, "--seed") {
-            cfg.master_seed = seed.parse().map_err(|_| "bad --seed")?;
-        }
-        if let Some(m) = flag(args, "--mutations") {
-            cfg.mutations_per_class = m.parse().map_err(|_| "bad --mutations")?;
-        }
-        if let Some(e) = flag(args, "--events") {
-            cfg.events = e.parse().map_err(|_| "bad --events")?;
-        }
-        match class {
-            ArtifactClass::VaultShard => eprintln!(
-                "vault scrub drill: {} seeded shard-stripe mutations over a {}+{} \
-                 erasure vault (seed {})…",
-                cfg.mutations_per_class,
-                faultlab::SHARD_K,
-                faultlab::SHARD_M,
-                cfg.master_seed
-            ),
-            _ => eprintln!(
-                "vault scrub drill: {} seeded single-replica mutations (seed {})…",
-                cfg.mutations_per_class, cfg.master_seed
-            ),
-        }
+        let cfg = campaign_config(args)?;
+        eprintln!(
+            "vault scrub drill: {} seeded {drill} (seed {})…",
+            cfg.mutations_per_class, cfg.master_seed
+        );
         let report = faultlab::run_campaign_for(&cfg, &[class], &Obs::disabled())
             .map_err(|e| e.to_string())?;
         print!("{}", report.to_text());
         return if report.passed() {
-            println!("vault scrub drill PASSED — every mutation detected and repaired");
+            // Losses beyond the redundancy are reported, not repaired.
+            let unrecoverable = report.classes[0]
+                .detections_by_layer
+                .get("scrub:unrecoverable")
+                .copied()
+                .unwrap_or(0);
+            println!(
+                "vault scrub drill PASSED — {} mutation(s) detected and repaired, \
+                 {unrecoverable} reported unrecoverable, {} harmless",
+                report.total_detected() - unrecoverable,
+                report.total_harmless()
+            );
             Ok(())
         } else {
             Err(CliError::Failure(format!(

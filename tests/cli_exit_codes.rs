@@ -319,6 +319,31 @@ fn usage_errors_exit_two() {
     // Malformed flag values.
     assert_eq!(code(&run(&["produce", "--experiment", "not-an-experiment"])), 2);
     assert_eq!(code(&run(&["trace", "--seed", "not-a-number"])), 2);
+    // A faultlab class named twice would be attacked twice and
+    // double-count its detections; an unknown replay class is refused.
+    assert_eq!(code(&run(&["faultlab", "--classes", "tier-aod,tier-aod"])), 2);
+    assert_eq!(code(&run(&["faultlab", "--replay", "nope:1"])), 2);
+}
+
+#[test]
+fn scrub_drill_success_line_separates_repairs_from_losses() {
+    // The 4+2 drill erases more than m shards of some objects: those
+    // are reported unrecoverable, not repaired, and the line says so.
+    let out = run(&[
+        "vault", "scrub", "--selftest", "--erasure", "4,2", "--mutations", "30", "--events", "6",
+    ]);
+    assert_eq!(code(&out), 0, "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("vault scrub drill PASSED"))
+        .unwrap_or_else(|| panic!("no success line in {text}"));
+    assert_eq!(
+        line,
+        "vault scrub drill PASSED — 26 mutation(s) detected and repaired, \
+         4 reported unrecoverable, 0 harmless"
+    );
+    assert!(text.contains("scrub:unrecoverable=4"), "{text}");
 }
 
 #[test]

@@ -530,7 +530,12 @@ impl ColumnarFile {
     /// Kept for backward-compat coverage and the v1-vs-v2 size
     /// comparison; new files come from [`ColumnarFile::from_rows`].
     pub fn from_rows_v1(events: &[AodEvent]) -> Bytes {
-        let cols = ColumnId::ALL.map(|id| build_raw_column(id, events));
+        let cols = ColumnId::ALL.map(|id| {
+            let (counts, entries) = build_column(id, events);
+            let mut raw = BytesMut::with_capacity(4 * counts.len() + entries.len());
+            put_raw(&mut raw, id, &counts, &entries);
+            raw
+        });
         assemble_file(COLUMNAR_VERSION_V1, row_count(events), &cols)
     }
 }
@@ -603,6 +608,9 @@ enum FieldKind {
 /// Widest field plan (fields per record) across the schema.
 const MAX_PLAN_FIELDS: usize = 3;
 
+/// Longest LEB128 encoding of a `u64`.
+const MAX_VARINT_LEN: usize = 10;
+
 /// Per-record field plan for the delta encoding, `None` for the fat
 /// four-momentum-bearing columns whose float payloads rarely delta well:
 /// there v2 stores the entries verbatim and compresses only the counts
@@ -626,19 +634,38 @@ fn delta_plan(id: ColumnId) -> Option<&'static [FieldKind]> {
 }
 
 /// LEB128 unsigned varint (7 bits per byte, high bit continues).
-/// Staged through a stack buffer so the output lands in one
-/// `put_slice` instead of up to ten capacity-checked single-byte
-/// appends — varints dominate the delta streams, so this is hot.
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
-    let mut tmp = [0u8; 10];
-    let mut n = 0usize;
-    while v >= 0x80 {
-        tmp[n] = (v as u8) | 0x80;
-        v >>= 7;
-        n += 1;
+/// Varints dominate the delta streams, so this is hot: a one-byte value
+/// is one push; a longer one has its low eight 7-bit groups spread one
+/// per byte of a `u64` in registers, continuation bits or'd in, and is
+/// appended as one fixed 8-byte store (plus a 2-byte store for the
+/// groups past 56 bits) cut back to the encoded length — never a
+/// variable-length copy.
+#[inline]
+fn put_varint(buf: &mut BytesMut, v: u64) {
+    if v < 0x80 {
+        buf.put_u8(v as u8);
+        return;
     }
-    tmp[n] = v as u8;
-    buf.put_slice(&tmp[..=n]);
+    const CONT: u64 = 0x8080_8080_8080_8080;
+    let n = varint_len(v);
+    let end = buf.len() + n;
+    let spread = (v & 0x7f)
+        | (v << 1 & 0x7f00)
+        | (v << 2 & 0x7f_0000)
+        | (v << 3 & 0x7f00_0000)
+        | (v << 4 & 0x7f_0000_0000)
+        | (v << 5 & 0x7f00_0000_0000)
+        | (v << 6 & 0x7f_0000_0000_0000)
+        | (v << 7 & 0x7f00_0000_0000_0000);
+    // Continuation bits on every byte but the last (n >= 2 here).
+    buf.put_u64_le(spread | CONT >> (8 * (9 - n.min(9))));
+    if n > 8 {
+        // Groups 8 and 9: bits 56..63 and bit 63 alone.
+        let hi = v >> 56;
+        let tenth = hi >> 7;
+        buf.put_u16_le(((hi & 0x7f) | tenth << 7 | tenth << 8) as u16);
+    }
+    buf.truncate(end);
 }
 
 /// Encoded size of [`put_varint`]'s output, computed from the bit
@@ -712,12 +739,10 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Encode the per-row entry counts of a variable column: one mode byte,
-/// then either a plain varint per row or (run, count) varint pairs —
-/// whichever is smaller (ties go to the varint mode).
-fn encode_counts(counts: &[u32]) -> BytesMut {
-    let varint_size: usize = counts.iter().map(|&c| varint_len(u64::from(c))).sum();
-    let mut rle_size = 0usize;
+/// Call `f(count, run)` for each run of equal counts, runs capped at
+/// [`MAX_RUN`] rows (the RLE mode's pairs, in order).
+#[inline]
+fn for_each_run(counts: &[u32], mut f: impl FnMut(u32, usize)) {
     let mut i = 0usize;
     while i < counts.len() {
         let c = counts[i];
@@ -725,30 +750,42 @@ fn encode_counts(counts: &[u32]) -> BytesMut {
         while i + run < counts.len() && run < MAX_RUN as usize && counts[i + run] == c {
             run += 1;
         }
-        rle_size += varint_len(run as u64) + varint_len(u64::from(c));
+        f(c, run);
         i += run;
     }
-    let mut block = BytesMut::with_capacity(1 + rle_size.min(varint_size));
+}
+
+/// Mode and byte length of the counts block for the per-row entry
+/// counts of a variable column: one mode byte, then either a plain
+/// varint per row or (run, count) varint pairs — whichever is smaller
+/// (ties go to the varint mode). Both sizes come from one scan.
+fn counts_block(counts: &[u32]) -> (u8, usize) {
+    let (mut varint_size, mut rle_size) = (0usize, 0usize);
+    for_each_run(counts, |c, run| {
+        let c_len = varint_len(u64::from(c));
+        varint_size += run * c_len;
+        rle_size += varint_len(run as u64) + c_len;
+    });
     if rle_size < varint_size {
-        block.put_u8(COUNTS_RLE);
-        let mut i = 0usize;
-        while i < counts.len() {
-            let c = counts[i];
-            let mut run = 1usize;
-            while i + run < counts.len() && run < MAX_RUN as usize && counts[i + run] == c {
-                run += 1;
-            }
-            put_varint(&mut block, run as u64);
-            put_varint(&mut block, u64::from(c));
-            i += run;
-        }
+        (COUNTS_RLE, 1 + rle_size)
     } else {
-        block.put_u8(COUNTS_VARINT);
+        (COUNTS_VARINT, 1 + varint_size)
+    }
+}
+
+/// Append the counts block in the `mode` [`counts_block`] chose.
+fn put_counts(out: &mut BytesMut, counts: &[u32], mode: u8) {
+    out.put_u8(mode);
+    if mode == COUNTS_RLE {
+        for_each_run(counts, |c, run| {
+            put_varint(out, run as u64);
+            put_varint(out, u64::from(c));
+        });
+    } else {
         for &c in counts {
-            put_varint(&mut block, u64::from(c));
+            put_varint(out, u64::from(c));
         }
     }
-    block
 }
 
 /// Decode a v2 counts block. Every count and the running entry total
@@ -966,64 +1003,78 @@ fn decode_records(
     Ok(())
 }
 
-/// Encode one raw column payload into its v2 frame (tag-prefixed):
-/// delta ([`encode_delta`] under the column's field plan, or verbatim
-/// entries behind a compressed counts block for the fat columns) when
-/// that is strictly smaller than the raw frame, raw otherwise. A pure
-/// function of (column, raw bytes, row count) — so re-encoding the rows
-/// a skim keeps equals encoding the same events from scratch, and skim
-/// output stays canonical.
-fn encode_column(id: ColumnId, raw: &[u8], n_rows: usize) -> BytesMut {
-    let mut frame = BytesMut::with_capacity(1 + raw.len());
+/// Encode one column into its v2 frame (tag-prefixed). A fixed column
+/// comes as its records back to back with `counts` empty; a variable
+/// column as its per-row entry counts and its entries back to back. The
+/// frame is delta ([`encode_delta`] under the column's field plan, or
+/// verbatim entries behind a compressed counts block for the fat
+/// columns) when that is strictly smaller than the raw frame, raw (the
+/// v1 layout, [`put_raw`]) otherwise. A pure function of (column,
+/// counts, entries) — so re-encoding the rows a skim keeps equals
+/// encoding the same events from scratch, and skim output stays
+/// canonical.
+fn encode_column(id: ColumnId, counts: &[u32], entries: &[u8]) -> BytesMut {
+    let raw_len = 4 * counts.len() + entries.len();
+    let Some(plan) = delta_plan(id) else {
+        // Fat columns keep their entries verbatim, so the delta frame's
+        // size is known before a byte is written: build only the frame
+        // that wins, at its exact size.
+        let (mode, block_len) = counts_block(counts);
+        let delta_len = 1 + block_len + entries.len();
+        if delta_len > raw_len {
+            return raw_frame(id, counts, entries);
+        }
+        let mut frame = BytesMut::with_capacity(delta_len);
+        frame.put_u8(TAG_DELTA);
+        put_counts(&mut frame, counts, mode);
+        frame.put_slice(entries);
+        return frame;
+    };
+    // Room for one maximal varint store past a raw-sized frame, so the
+    // encode never regrows the buffer before it loses to raw.
+    let mut frame = BytesMut::with_capacity(1 + raw_len + MAX_VARINT_LEN);
     frame.put_u8(TAG_DELTA);
-    match id.layout() {
-        ColumnLayout::Fixed(stride) => {
-            let plan = delta_plan(id).expect("fixed columns carry a field plan");
-            encode_delta(raw, stride, plan, &mut frame);
-        }
+    let rec = match id.layout() {
+        ColumnLayout::Fixed(stride) => stride,
         ColumnLayout::Var(entry) => {
-            // Scan the raw payload for per-row counts (the payload is
-            // valid by construction here — it was just built from
-            // events). Entries are only gathered for the thin id-columns
-            // that delta-encode; fat columns go straight from `raw` into
-            // the frame.
-            let mut counts: Vec<u32> = Vec::with_capacity(n_rows);
-            let mut off = 0usize;
-            for _ in 0..n_rows {
-                let c = rd_u32(raw, off);
-                counts.push(c);
-                off += 4 + c as usize * entry;
-            }
-            frame.put_slice(&encode_counts(&counts));
-            let plan = delta_plan(id);
-            let mut entries = BytesMut::new();
-            let sink = match plan {
-                None => &mut frame,
-                Some(_) => {
-                    entries.reserve(raw.len() - 4 * n_rows);
-                    &mut entries
-                }
-            };
-            let mut off = 0usize;
-            for &c in &counts {
-                let len = c as usize * entry;
-                sink.put_slice(&raw[off + 4..off + 4 + len]);
-                off += 4 + len;
-            }
-            if let Some(plan) = plan {
-                encode_delta(&entries, entry, plan, &mut frame);
-            }
+            let (mode, _) = counts_block(counts);
+            put_counts(&mut frame, counts, mode);
+            entry
         }
-    }
-    if frame.len() > raw.len() {
+    };
+    encode_delta(entries, rec, plan, &mut frame);
+    if frame.len() > raw_len {
         // Delta is not strictly smaller than the raw frame: ties go to raw.
-        frame.clear();
-        frame.put_u8(TAG_RAW);
-        frame.put_slice(raw);
+        return raw_frame(id, counts, entries);
     }
     // Frames live until the file is assembled: keep an exact-size copy,
     // not the raw-sized encode buffer.
     BytesMut::from(frame.to_vec())
+}
+
+/// The `TAG_RAW` frame of a column, at its exact size.
+fn raw_frame(id: ColumnId, counts: &[u32], entries: &[u8]) -> BytesMut {
+    let mut frame = BytesMut::with_capacity(1 + 4 * counts.len() + entries.len());
+    frame.put_u8(TAG_RAW);
+    put_raw(&mut frame, id, counts, entries);
+    frame
+}
+
+/// Append a column's raw (v1) payload: fixed records as they are,
+/// variable rows as `count:u32le` then that row's entries.
+fn put_raw(out: &mut BytesMut, id: ColumnId, counts: &[u32], entries: &[u8]) {
+    match id.layout() {
+        ColumnLayout::Fixed(_) => out.put_slice(entries),
+        ColumnLayout::Var(entry) => {
+            let mut off = 0usize;
+            for &c in counts {
+                let len = c as usize * entry;
+                out.put_u32_le(c);
+                out.put_slice(&entries[off..off + len]);
+                off += len;
+            }
+        }
+    }
 }
 
 /// Decode a non-raw v2 frame into a [`ColumnReader`]. Small-record
@@ -1166,8 +1217,8 @@ pub fn encode_columnar_parallel(events: &[AodEvent], threads: usize) -> Bytes {
         ColumnId::ALL[range]
             .iter()
             .map(|&id| {
-                let raw = build_raw_column(id, events);
-                encode_column(id, &raw, events.len())
+                let (counts, entries) = build_column(id, events);
+                encode_column(id, &counts, &entries)
             })
             .collect::<Vec<_>>()
     })
@@ -1178,10 +1229,32 @@ pub fn encode_columnar_parallel(events: &[AodEvent], threads: usize) -> Bytes {
     assemble_file(COLUMNAR_VERSION, n_rows, &frames)
 }
 
-/// Lay out one raw column for `events` — the per-column worker of every
-/// columnar writer, sequential or parallel.
-fn build_raw_column(id: ColumnId, events: &[AodEvent]) -> BytesMut {
-    let mut col = BytesMut::new();
+/// Lay out one column for `events` as [`encode_column`] takes it: the
+/// per-row entry counts (empty for a fixed column) and the records or
+/// entries back to back, the latter reserved at its exact size. The
+/// per-column worker of every columnar writer, sequential or parallel.
+fn build_column(id: ColumnId, events: &[AodEvent]) -> (Vec<u32>, BytesMut) {
+    let (counts, size): (Vec<u32>, usize) = match id.layout() {
+        ColumnLayout::Fixed(stride) => (Vec::new(), events.len() * stride),
+        ColumnLayout::Var(entry) => {
+            let counts: Vec<u32> = events
+                .iter()
+                .map(|ev| {
+                    (match id {
+                        ColumnId::ElectronP4 | ColumnId::ElectronId => ev.electrons.len(),
+                        ColumnId::MuonP4 | ColumnId::MuonId => ev.muons.len(),
+                        ColumnId::Photon => ev.photons.len(),
+                        ColumnId::JetP4 | ColumnId::JetId => ev.jets.len(),
+                        ColumnId::Candidate => ev.candidates.len(),
+                        ColumnId::Header | ColumnId::Scalars => unreachable!("fixed column"),
+                    }) as u32
+                })
+                .collect();
+            let total: usize = counts.iter().map(|&c| c as usize).sum();
+            (counts, total * entry)
+        }
+    };
+    let mut col = BytesMut::with_capacity(size);
     match id {
         ColumnId::Header => {
             for ev in events {
@@ -1192,7 +1265,6 @@ fn build_raw_column(id: ColumnId, events: &[AodEvent]) -> BytesMut {
         }
         ColumnId::ElectronP4 => {
             for ev in events {
-                col.put_u32_le(ev.electrons.len() as u32);
                 for e in &ev.electrons {
                     put_p4(&mut col, &e.momentum);
                 }
@@ -1200,7 +1272,6 @@ fn build_raw_column(id: ColumnId, events: &[AodEvent]) -> BytesMut {
         }
         ColumnId::ElectronId => {
             for ev in events {
-                col.put_u32_le(ev.electrons.len() as u32);
                 for e in &ev.electrons {
                     col.put_i8(e.charge);
                     col.put_f64_le(e.e_over_p);
@@ -1210,7 +1281,6 @@ fn build_raw_column(id: ColumnId, events: &[AodEvent]) -> BytesMut {
         }
         ColumnId::MuonP4 => {
             for ev in events {
-                col.put_u32_le(ev.muons.len() as u32);
                 for m in &ev.muons {
                     put_p4(&mut col, &m.momentum);
                 }
@@ -1218,7 +1288,6 @@ fn build_raw_column(id: ColumnId, events: &[AodEvent]) -> BytesMut {
         }
         ColumnId::MuonId => {
             for ev in events {
-                col.put_u32_le(ev.muons.len() as u32);
                 for m in &ev.muons {
                     col.put_i8(m.charge);
                     col.put_u8(m.n_stations);
@@ -1228,7 +1297,6 @@ fn build_raw_column(id: ColumnId, events: &[AodEvent]) -> BytesMut {
         }
         ColumnId::Photon => {
             for ev in events {
-                col.put_u32_le(ev.photons.len() as u32);
                 for p in &ev.photons {
                     put_p4(&mut col, &p.momentum);
                     col.put_f64_le(p.isolation);
@@ -1237,7 +1305,6 @@ fn build_raw_column(id: ColumnId, events: &[AodEvent]) -> BytesMut {
         }
         ColumnId::JetP4 => {
             for ev in events {
-                col.put_u32_le(ev.jets.len() as u32);
                 for j in &ev.jets {
                     put_p4(&mut col, &j.momentum);
                 }
@@ -1245,7 +1312,6 @@ fn build_raw_column(id: ColumnId, events: &[AodEvent]) -> BytesMut {
         }
         ColumnId::JetId => {
             for ev in events {
-                col.put_u32_le(ev.jets.len() as u32);
                 for j in &ev.jets {
                     col.put_u32_le(j.n_constituents);
                     col.put_f64_le(j.em_fraction);
@@ -1254,7 +1320,6 @@ fn build_raw_column(id: ColumnId, events: &[AodEvent]) -> BytesMut {
         }
         ColumnId::Candidate => {
             for ev in events {
-                col.put_u32_le(ev.candidates.len() as u32);
                 for t in &ev.candidates {
                     put_p4(&mut col, &t.vertex);
                     col.put_f64_le(t.flight_xy);
@@ -1277,7 +1342,8 @@ fn build_raw_column(id: ColumnId, events: &[AodEvent]) -> BytesMut {
             }
         }
     }
-    col
+    debug_assert_eq!(col.len(), size, "column '{}' sized exactly", id.name());
+    (counts, col)
 }
 
 /// A decoded (structurally walked) column. For raw frames `payload` is
@@ -1736,118 +1802,69 @@ fn skim_columnar_core(
         runs
     };
 
-    // One raw-column scratch is reused (cleared, capacity kept) across
-    // all ten columns, so the pass holds a single raw column plus the
-    // much smaller encoded frames instead of ten raw columns at once —
-    // that was the columnar skim's allocation peak.
-    let mut raw = BytesMut::new();
-    let mut frames: [BytesMut; N_COLUMNS] = Default::default();
-    for (i, id) in ColumnId::ALL.iter().enumerate() {
-        raw.clear();
-        if !keep[i] {
-            // Dropped collection: every surviving row becomes count = 0,
-            // without ever opening the source column.
-            raw.reserve(n_out * 4);
-            for _ in 0..n_out {
-                raw.put_u32_le(0);
+    // One column scratch (counts + entries) is reused (cleared, capacity
+    // kept) across all ten columns, so the pass holds a single column
+    // plus the much smaller encoded frames instead of ten columns at
+    // once, and is freed before the output is assembled.
+    let frames: [BytesMut; N_COLUMNS] = {
+        let mut counts: Vec<u32> = Vec::with_capacity(n_out);
+        let mut entries = BytesMut::new();
+        let mut frames: [BytesMut; N_COLUMNS] = Default::default();
+        for (i, id) in ColumnId::ALL.iter().enumerate() {
+            counts.clear();
+            entries.clear();
+            if !keep[i] {
+                // Dropped collection: every surviving row becomes count = 0,
+                // without ever opening the source column.
+                counts.resize(n_out, 0);
+                frames[i] = encode_column(*id, &counts, &entries);
+                continue;
             }
-            frames[i] = encode_column(*id, &raw, n_out);
-            continue;
-        }
-        let col = cache.get(*id);
-        match id.layout() {
-            ColumnLayout::Fixed(stride) => {
-                raw.reserve(n_out * stride);
-                for &(a, b) in &runs {
-                    raw.put_slice(&col.payload[a * stride..b * stride]);
+            let col = cache.get(*id);
+            match id.layout() {
+                ColumnLayout::Fixed(stride) => {
+                    entries.reserve(n_out * stride);
+                    for &(a, b) in &runs {
+                        entries.put_slice(&col.payload[a * stride..b * stride]);
+                    }
                 }
-            }
-            ColumnLayout::Var(entry) => {
-                let truncate_jets =
-                    matches!(id, ColumnId::JetP4 | ColumnId::JetId) && slim.max_jets != u32::MAX;
-                if col.packed {
-                    // Packed readers carry no interleaved count
-                    // prefixes, so rows re-interleave one by one (a run
-                    // cannot memcpy across the missing prefixes).
-                    let max = if truncate_jets {
+                ColumnLayout::Var(entry) => {
+                    let max = if matches!(id, ColumnId::JetP4 | ColumnId::JetId)
+                        && slim.max_jets != u32::MAX
+                    {
                         slim.max_jets as usize
                     } else {
                         usize::MAX
                     };
-                    raw.reserve(4 * n_out + (col.starts[cf.n_rows] as usize).min(1 << 20));
-                    for &(a, b) in &runs {
-                        for row in a..b {
-                            let n = col.count(row).min(max);
-                            raw.put_u32_le(n as u32);
-                            raw.put_slice(&col.entries(row)[..n * entry]);
-                        }
-                    }
-                } else if truncate_jets {
-                    let max = slim.max_jets as usize;
-                    raw.reserve(n_out * (4 + max * entry));
-                    for &(a, b) in &runs {
-                        // Within a run, stretches of rows already under
-                        // the jet cap copy verbatim in one slice; only
-                        // rows that actually truncate go entry-by-entry.
-                        let mut row = a;
-                        while row < b {
-                            if col.count(row) <= max {
-                                let start = row;
-                                while row < b && col.count(row) <= max {
-                                    row += 1;
-                                }
-                                raw.put_slice(
-                                    &col.payload
-                                        [col.starts[start] as usize..col.starts[row] as usize],
-                                );
-                            } else {
-                                raw.put_u32_le(max as u32);
-                                raw.put_slice(&col.entries(row)[..max * entry]);
-                                row += 1;
-                            }
-                        }
-                    }
-                } else {
-                    let total: usize = runs
+                    // The runs' extents bound the kept entries (exactly, for
+                    // a packed reader under no jet cap).
+                    let extent: usize = runs
                         .iter()
                         .map(|&(a, b)| (col.starts[b] - col.starts[a]) as usize)
                         .sum();
-                    raw.reserve(total);
+                    entries.reserve(extent);
                     for &(a, b) in &runs {
-                        raw.put_slice(&col.payload[col.starts[a] as usize..col.starts[b] as usize]);
+                        if col.packed && max == usize::MAX {
+                            // Packed rows are contiguous entries: one copy
+                            // per run.
+                            counts.extend((a..b).map(|row| col.count(row) as u32));
+                            entries.put_slice(
+                                &col.payload[col.starts[a] as usize..col.starts[b] as usize],
+                            );
+                        } else {
+                            for row in a..b {
+                                let n = col.count(row).min(max);
+                                counts.push(n as u32);
+                                entries.put_slice(&col.entries(row)[..n * entry]);
+                            }
+                        }
                     }
                 }
             }
+            frames[i] = encode_column(*id, &counts, &entries);
         }
-        frames[i] = encode_column(*id, &raw, n_out);
-    }
-
-    if let Some(cb) = on_survivor {
-        // Materialize survivors (slimmed) straight off the kept input
-        // columns — non-survivors and dropped collections never decode.
-        let readers: [ColumnReader; N_COLUMNS] = {
-            let mut rs: [Option<ColumnReader>; N_COLUMNS] = Default::default();
-            for (i, slot) in cache.readers.iter().enumerate() {
-                rs[i] = match slot {
-                    Some(r) => Some(r.clone()),
-                    // decode_row only touches kept columns; placeholder
-                    // readers for dropped ones keep the array total.
-                    None => Some(ColumnReader {
-                        id: ColumnId::ALL[i],
-                        layout: ColumnId::ALL[i].layout(),
-                        payload: Bytes::new(),
-                        starts: Vec::new(),
-                        packed: false,
-                    }),
-                };
-            }
-            rs.map(|r| r.expect("reader slot filled"))
-        };
-        for &row in &survivors {
-            let ev = decode_row(&readers, row as usize, slim);
-            cb(&ev);
-        }
-    }
+        frames
+    };
 
     if let Some(reg) = registry {
         let read = cache.opened() as u64;
@@ -1855,6 +1872,32 @@ fn skim_columnar_core(
         reg.counter("tier.columnar.cols_skipped")
             .add(N_COLUMNS as u64 - read);
     }
+
+    // The decoded input columns are dropped once the survivors are
+    // materialized, so the pass never holds them beside the output.
+    let ColumnCache {
+        readers: mut slots, ..
+    } = cache;
+    if let Some(cb) = on_survivor {
+        // Materialize survivors (slimmed) straight off the kept input
+        // columns — non-survivors and dropped collections never decode.
+        // decode_row only touches kept columns; placeholder readers for
+        // dropped ones keep the array total.
+        let readers: [ColumnReader; N_COLUMNS] = std::array::from_fn(|i| {
+            slots[i].take().unwrap_or_else(|| ColumnReader {
+                id: ColumnId::ALL[i],
+                layout: ColumnId::ALL[i].layout(),
+                payload: Bytes::new(),
+                starts: Vec::new(),
+                packed: false,
+            })
+        });
+        for &row in &survivors {
+            let ev = decode_row(&readers, row as usize, slim);
+            cb(&ev);
+        }
+    }
+    drop(slots);
 
     let out = assemble_file(COLUMNAR_VERSION, n_out as u32, &frames);
     let report = SkimReport {
@@ -2279,6 +2322,66 @@ mod tests {
             );
             assert_eq!(parsed.to_rows().expect("decodes")[0].met.mey, mey);
         }
+
+        // A variable column falls back to raw the same way: one electron
+        // whose negative E/p and isolation cost 10-byte varints deltas
+        // to 1 + 21 bytes behind a 2-byte counts block, over the 4 + 17
+        // raw bytes, so its id frame is the interleaved raw row.
+        let mut ev = AodEvent::new(EventHeader::new(194_270, 12, 900_000));
+        ev.electrons.push(Electron {
+            momentum: FourVector {
+                px: 30.0,
+                py: -4.0,
+                pz: 11.0,
+                e: 32.5,
+            },
+            charge: -1,
+            e_over_p: -1.5,
+            isolation: -0.5,
+        });
+        let file = ColumnarFile::from_rows(std::slice::from_ref(&ev));
+        let parsed = ColumnarFile::parse(&file).expect("parses");
+        assert_eq!(frame_tag(&file, &parsed, ColumnId::ElectronId), TAG_RAW);
+        assert_eq!(parsed.cols[ColumnId::ElectronId as usize].len, 1 + 4 + 17);
+        assert_eq!(frame_tag(&file, &parsed, ColumnId::ElectronP4), TAG_DELTA);
+        assert_eq!(parsed.to_rows().expect("decodes"), [ev]);
+
+        // Counts blocks: the smaller mode wins, ties go to varints, and
+        // every block is exactly the size the one sizing scan predicts.
+        let block = |counts: &[u32]| {
+            let (mode, len) = counts_block(counts);
+            let mut out = BytesMut::new();
+            put_counts(&mut out, counts, mode);
+            assert_eq!(out.len(), len, "sized length of {counts:?}");
+            let mut off = 0usize;
+            assert_eq!(decode_counts(&out, &mut off, counts.len()).unwrap(), counts);
+            assert_eq!(off, out.len());
+            out.to_vec()
+        };
+        // A tie: two one-byte varints against one (run 2, count 5) pair.
+        // The varint mode wins.
+        assert_eq!(block(&[5, 5]), [COUNTS_VARINT, 5, 5]);
+        // No rows at all is also a tie (both modes are empty).
+        assert_eq!(block(&[]), [COUNTS_VARINT]);
+        // A 300-row run crosses MAX_RUN = 255: two pairs, the first a
+        // two-byte varint run.
+        assert_eq!(
+            block(&[3; 300]),
+            [COUNTS_RLE, 0xFF, 0x01, 3, 45, 3],
+            "run split at MAX_RUN"
+        );
+        // An all-zero column: 1000 rows in four pairs.
+        let zeros = block(&[0; 1000]);
+        assert_eq!(zeros[0], COUNTS_RLE);
+        assert_eq!(zeros.len(), 1 + 3 * 3 + 3, "runs 255, 255, 255, 235");
+        // Where runs do not pay, the varint mode is strictly smaller.
+        let mixed: Vec<u32> = (0..64).map(|i| i % 3).collect();
+        assert_eq!(block(&mixed)[0], COUNTS_VARINT);
+        // A skim that drops a collection writes an all-zero fat column:
+        // it is still delta (a counts block), far below raw.
+        let frame = encode_column(ColumnId::Photon, &[0; 1000], &[]);
+        assert_eq!(frame[0], TAG_DELTA);
+        assert_eq!(&frame[1..], &zeros[..]);
     }
 
     #[test]
@@ -2367,16 +2470,58 @@ mod tests {
         }
     }
 
+    /// The stack-staged varint writer [`put_varint`] replaced, kept as
+    /// the byte-for-byte reference for the word-spread one.
+    fn put_varint_reference(buf: &mut BytesMut, mut v: u64) {
+        let mut tmp = [0u8; 10];
+        let mut n = 0usize;
+        while v >= 0x80 {
+            tmp[n] = (v as u8) | 0x80;
+            v >>= 7;
+            n += 1;
+        }
+        tmp[n] = v as u8;
+        buf.put_slice(&tmp[..=n]);
+    }
+
     #[test]
     fn varint_edge_values_round_trip_and_corruption_errors() {
-        for v in [0u64, 1, 127, 128, 300, 1 << 20, u64::MAX - 1, u64::MAX] {
+        let mut values = vec![0u64, 300, u64::MAX - 1, u64::MAX];
+        for k in 0..64 {
+            values.push((1u64 << k) - 1);
+            values.push(1u64 << k);
+        }
+        // Seeded sweep (splitmix64), each value shifted down by a random
+        // amount so every encoded length 1..=10 is well covered.
+        let mut state = 0x5EED_0F_DA5905u64;
+        for _ in 0..20_000 {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            values.push(z >> (z % 64));
+        }
+        for &v in &values {
             let mut buf = BytesMut::new();
             put_varint(&mut buf, v);
+            let mut reference = BytesMut::new();
+            put_varint_reference(&mut reference, v);
+            assert_eq!(buf, reference, "varint bytes of {v:#x}");
             assert_eq!(buf.len(), varint_len(v));
             let mut off = 0usize;
             assert_eq!(get_varint(&buf, &mut off).unwrap(), v);
             assert_eq!(off, buf.len());
         }
+        // Back to back in one buffer, as the encoders append them: each
+        // store cut back to its length leaves the next value's bytes
+        // where the reference puts them.
+        let (mut stream, mut reference) = (BytesMut::new(), BytesMut::new());
+        for &v in &values {
+            put_varint(&mut stream, v);
+            put_varint_reference(&mut reference, v);
+        }
+        assert_eq!(stream, reference);
         for v in [0i64, 1, -1, i64::MAX, i64::MIN] {
             assert_eq!(unzigzag(zigzag(v)), v);
         }

@@ -10,7 +10,9 @@
 //! simulation, codec layout, sealing, or container format shows up as a
 //! corpus diff, not as silent drift. `chain-digests.txt` pins the
 //! LHCb charm chain and the ATLAS and ALICE Z chains by fnv64 of their
-//! RAW, AOD, skim, ntuple and results.
+//! RAW, AOD, skim, ntuple and results, and of the DPCF columnar AOD and
+//! its columnar skim (so the columnar writer's bytes are pinned on real
+//! chain data, not only on synthetic events).
 //!
 //! After an *intended* format change, refresh the corpus with
 //!
@@ -28,6 +30,7 @@ use daspos::archive::sections;
 use daspos::prelude::*;
 use daspos_reco::objects::AodEvent;
 use daspos_tiers::codec::{self, fnv64, Encodable};
+use daspos_tiers::{skim_slim_columnar, ColumnarFile};
 
 const GOLDEN_SEED: u64 = 20130908;
 const GOLDEN_EVENTS: u64 = 32;
@@ -187,10 +190,15 @@ fn chain_digests() -> String {
                 ntuple.extend_from_slice(&v.to_bits().to_le_bytes());
             }
         }
+        let aod_dpcf = ColumnarFile::from_rows(&output.aod_events);
+        let (skim_dpcf, _) = skim_slim_columnar(&aod_dpcf, &workflow.skim, &workflow.slim, None)
+            .expect("columnar skim");
         let artifacts = [
             ("raw", files(output.raw_dataset)),
             ("aod", AodEvent::encode_events(&output.aod_events).to_vec()),
+            ("aod.dpcf", aod_dpcf.to_vec()),
             ("skim", files(output.skim_dataset)),
+            ("skim.dpcf", skim_dpcf.to_vec()),
             ("ntuple", ntuple),
             ("results", output.results_to_text().into_bytes()),
         ];

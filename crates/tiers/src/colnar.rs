@@ -39,12 +39,19 @@
 //! per-encoding byte layouts and the ablation that retired the
 //! dictionary and run-length writers.
 //!
-//! Fixed columns hold one `stride`-sized record per row; variable columns
-//! hold `count:u32le` then `count × entry_size` bytes per row, walked by
-//! count — there is no per-row length prefix to keep verbatim row copies
-//! contiguous. Electron/muon/jet objects are split into a *p4* column
-//! (the four-momentum every kinematic cut reads) and an *id* column (the
-//! identification payload cuts almost never read).
+//! Fixed columns hold one `stride`-sized record per row; a raw variable
+//! column holds `count:u32le` then `count × entry_size` bytes per row,
+//! and a delta-coded one a counts block then its entries. Electron/muon/
+//! jet objects are split into a *p4* column (the four-momentum every
+//! kinematic cut reads) and an *id* column (the identification payload
+//! cuts almost never read).
+//!
+//! Readers hold every column in the writer's shape, whatever its frame:
+//! fixed records back to back, or a variable column's entries back to
+//! back with per-row entry offsets built from its counts. Consecutive
+//! rows are therefore contiguous bytes in every column, so the skim
+//! copies each run of survivors with one `memcpy` per column and hands
+//! the (counts, entries) pair straight back to the writer.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use daspos_hep::digest::{FNV64_OFFSET, FNV64_PRIME};
@@ -205,7 +212,7 @@ pub enum ColumnId {
 enum ColumnLayout {
     /// One `stride`-byte record per row.
     Fixed(usize),
-    /// `count:u32` then `count × entry` bytes per row.
+    /// A per-row count of `entry`-byte entries.
     Var(usize),
 }
 
@@ -317,9 +324,8 @@ fn check_raw_len(id: ColumnId, len: usize, n_rows: usize) -> Result<(), CodecErr
 }
 
 /// A parsed DPCF file: header and column table validated, column payloads
-/// untouched. Reading is lazy — [`ColumnarFile::column`] decodes (and
-/// digest-checks) exactly one column, so a query pays only for the bytes
-/// it asks for.
+/// untouched. Reading is lazy — a column is decoded only when a query
+/// first reads it, so a query pays only for the bytes it asks for.
 #[derive(Debug, Clone)]
 pub struct ColumnarFile {
     data: Bytes,
@@ -452,16 +458,11 @@ impl ColumnarFile {
         self.n_rows
     }
 
-    /// Open one column with its digest verified — the archival read path.
-    pub fn column(&self, id: ColumnId) -> Result<ColumnReader, CodecError> {
-        self.open(id, true)
-    }
-
     /// Open one column. `verify` checks the table digest over the stored
-    /// frame before the structural walk; the hot skim path skips it,
-    /// exactly as row-format DPEF payloads are trusted between archive
-    /// seals. Encoded v2 frames are decoded transparently, so callers
-    /// see the same reader regardless of the on-disk encoding.
+    /// frame before the structural walk — the archival read path; the hot
+    /// skim path skips it, exactly as row-format DPEF payloads are
+    /// trusted between archive seals. Every frame comes back in the one
+    /// [`ColumnReader`] layout, so callers never see the encoding.
     fn open(&self, id: ColumnId, verify: bool) -> Result<ColumnReader, CodecError> {
         let meta = self.cols[id as usize];
         let frame = self.data.slice(meta.offset..meta.offset + meta.len);
@@ -489,7 +490,7 @@ impl ColumnarFile {
     fn open_checked(&self) -> Result<[ColumnReader; N_COLUMNS], CodecError> {
         let mut readers: [Option<ColumnReader>; N_COLUMNS] = Default::default();
         for id in ColumnId::ALL {
-            readers[id as usize] = Some(self.column(id)?);
+            readers[id as usize] = Some(self.open(id, true)?);
         }
         let readers = readers.map(|r| r.expect("all columns opened"));
         cross_check_counts(&readers, self.n_rows)?;
@@ -509,11 +510,14 @@ impl ColumnarFile {
     /// reproduces this file.
     pub fn to_rows(&self) -> Result<Vec<AodEvent>, CodecError> {
         let r = self.open_checked()?;
-        let mut out = Vec::with_capacity(self.n_rows);
-        for row in 0..self.n_rows {
-            out.push(decode_row(&r, row, &SlimSpec::keep_all()));
-        }
-        Ok(out)
+        let keep_all = SlimSpec::keep_all();
+        Ok((0..self.n_rows)
+            .map(|row| {
+                let mut ev = AodEvent::new(EventHeader::new(0, 0, 0));
+                decode_row_into(&r, row, &keep_all, &mut ev);
+                ev
+            })
+            .collect())
     }
 
     /// Encode AOD events into a columnar file (current version, with
@@ -1077,10 +1081,11 @@ fn put_raw(out: &mut BytesMut, id: ColumnId, counts: &[u32], entries: &[u8]) {
     }
 }
 
-/// Decode a non-raw v2 frame into a [`ColumnReader`]. Small-record
-/// columns materialize their raw payload; fat variable columns come
-/// back *packed* — a zero-copy window over the verbatim entries region,
-/// with the counts decoded into `starts` alone.
+/// Decode a non-raw v2 frame into a [`ColumnReader`]. A variable
+/// column's counts block becomes the reader's row offsets, in place;
+/// the records or entries are then decoded under the column's field
+/// plan, or — for the fat four-momentum columns, whose entries v2
+/// stores verbatim — kept as a zero-copy window over the entries region.
 fn decode_frame(
     id: ColumnId,
     layout: ColumnLayout,
@@ -1090,85 +1095,50 @@ fn decode_frame(
 ) -> Result<ColumnReader, CodecError> {
     let b: &[u8] = frame;
     let mut off = 1usize; // past the encoding tag
-    match layout {
-        ColumnLayout::Fixed(stride) => {
-            let plan = delta_plan(id).expect("fixed columns carry a field plan");
-            let mut records = Vec::new();
-            decode_records(id, tag, b, &mut off, n_rows, stride, plan, &mut records)?;
-            if off != b.len() {
-                return Err(trailing_bytes(id, b.len() - off));
-            }
-            Ok(ColumnReader {
-                id,
-                layout,
-                payload: Bytes::from(records),
-                starts: Vec::new(),
-                packed: false,
-            })
-        }
+    let (rec, n_records, starts) = match layout {
+        ColumnLayout::Fixed(stride) => (stride, n_rows, Vec::new()),
         ColumnLayout::Var(entry) => {
-            let counts = decode_counts(b, &mut off, n_rows)?;
-            let total: usize = counts.iter().map(|&c| c as usize).sum();
-            match delta_plan(id) {
-                None => {
-                    if tag != TAG_DELTA {
-                        return Err(CodecError::Corrupt(format!(
-                            "column '{}' does not support encoding tag {tag}",
-                            id.name()
-                        )));
-                    }
-                    if b.len() - off != total * entry {
-                        return Err(CodecError::Corrupt(format!(
-                            "column '{}' entries region is {} bytes for \
-                             {total} entries of {entry}",
-                            id.name(),
-                            b.len() - off
-                        )));
-                    }
-                    let mut starts = Vec::with_capacity(counts.len() + 1);
-                    let mut acc = 0u32;
-                    for &c in &counts {
-                        starts.push(acc);
-                        acc += c * entry as u32; // total·entry < 2³⁰, no overflow
-                    }
-                    starts.push(acc);
-                    Ok(ColumnReader {
-                        id,
-                        layout,
-                        payload: frame.slice(off..),
-                        starts,
-                        packed: true,
-                    })
-                }
-                Some(plan) => {
-                    let mut records = Vec::new();
-                    decode_records(id, tag, b, &mut off, total, entry, plan, &mut records)?;
-                    if off != b.len() {
-                        return Err(trailing_bytes(id, b.len() - off));
-                    }
-                    // Re-interleave the count prefixes into a raw payload.
-                    let mut payload = Vec::with_capacity(records.len() + 4 * counts.len());
-                    let mut starts = Vec::with_capacity(counts.len() + 1);
-                    let mut eoff = 0usize;
-                    for &c in &counts {
-                        starts.push(payload.len() as u32);
-                        payload.extend_from_slice(&c.to_le_bytes());
-                        let len = c as usize * entry;
-                        payload.extend_from_slice(&records[eoff..eoff + len]);
-                        eoff += len;
-                    }
-                    starts.push(payload.len() as u32);
-                    Ok(ColumnReader {
-                        id,
-                        layout,
-                        payload: Bytes::from(payload),
-                        starts,
-                        packed: false,
-                    })
-                }
+            let mut starts = decode_counts(b, &mut off, n_rows)?;
+            let mut acc = 0u32;
+            for s in &mut starts {
+                let count = std::mem::replace(s, acc);
+                acc += count * entry as u32; // total·entry < 2³⁰, no overflow
             }
+            starts.push(acc);
+            (entry, acc as usize / entry, starts)
         }
+    };
+    let Some(plan) = delta_plan(id) else {
+        if tag != TAG_DELTA {
+            return Err(CodecError::Corrupt(format!(
+                "column '{}' does not support encoding tag {tag}",
+                id.name()
+            )));
+        }
+        if b.len() - off != n_records * rec {
+            return Err(CodecError::Corrupt(format!(
+                "column '{}' entries region is {} bytes for \
+                 {n_records} entries of {rec}",
+                id.name(),
+                b.len() - off
+            )));
+        }
+        return Ok(ColumnReader {
+            layout,
+            payload: frame.slice(off..),
+            starts,
+        });
+    };
+    let mut records = Vec::new();
+    decode_records(id, tag, b, &mut off, n_records, rec, plan, &mut records)?;
+    if off != b.len() {
+        return Err(trailing_bytes(id, b.len() - off));
     }
+    Ok(ColumnReader {
+        layout,
+        payload: Bytes::from(records),
+        starts,
+    })
 }
 
 fn trailing_bytes(id: ColumnId, n: usize) -> CodecError {
@@ -1346,55 +1316,46 @@ fn build_column(id: ColumnId, events: &[AodEvent]) -> (Vec<u32>, BytesMut) {
     (counts, col)
 }
 
-/// A decoded (structurally walked) column. For raw frames `payload` is
-/// a zero-copy window into the file buffer; for encoded v2 frames it is
-/// either the decoded raw payload (small-record columns) or, in
-/// *packed* form, a zero-copy window over the verbatim entries region
-/// with the row counts carried by `starts` alone (the fat
-/// four-momentum columns, whose entries v2 never transforms). `starts`
-/// indexes row extents for variable columns so row access is O(1).
-#[derive(Debug, Clone)]
-pub struct ColumnReader {
-    id: ColumnId,
+/// One opened column, in the writer's shape whatever its frame: a fixed
+/// column's records back to back, or a variable column's entries back
+/// to back with `starts` holding each row's entry-byte offset (`n_rows +
+/// 1` of them). A row, or a run of rows, is therefore one slice. Fixed
+/// raw columns and the fat delta-coded columns are zero-copy windows
+/// into the file buffer; the thin delta-coded columns own their decoded
+/// records, and a raw variable column owns its entries, copied once out
+/// of the interleaved rows when it is opened.
+struct ColumnReader {
     layout: ColumnLayout,
     payload: Bytes,
     starts: Vec<u32>,
-    /// Variable column whose payload is entries-only (no interleaved
-    /// `count:u32` prefixes); `starts` holds entry-byte offsets.
-    packed: bool,
 }
 
-/// Build a reader over a raw (v1-layout) payload: zero-copy, with the
-/// counting walk for variable columns.
+/// Build a reader over a raw (v1-layout) payload. A fixed column stays a
+/// zero-copy window. A variable column is walked row by row, validating
+/// counts and extents, and its entries are copied out of the interleaved
+/// rows into the reader layout.
 fn reader_from_raw(
     id: ColumnId,
     layout: ColumnLayout,
     payload: Bytes,
     n_rows: usize,
 ) -> Result<ColumnReader, CodecError> {
-    let starts = match layout {
-        ColumnLayout::Fixed(_) => Vec::new(),
-        ColumnLayout::Var(entry) => walk_var(&payload, entry, n_rows, id)?,
+    let ColumnLayout::Var(entry) = layout else {
+        return Ok(ColumnReader {
+            layout,
+            payload,
+            starts: Vec::new(),
+        });
     };
-    Ok(ColumnReader {
-        id,
-        layout,
-        payload,
-        starts,
-        packed: false,
-    })
-}
-
-/// Walk a raw variable-column payload row by row, validating counts and
-/// extents, and return the per-row byte offsets (`n_rows + 1` entries).
-fn walk_var(b: &[u8], entry: usize, n_rows: usize, id: ColumnId) -> Result<Vec<u32>, CodecError> {
+    let b: &[u8] = &payload;
     // Raw payloads are at least 4 bytes per row (checked at parse), so
-    // `n_rows` is bounded by the bytes actually present and this
-    // preallocation cannot outrun the file.
+    // `n_rows` is bounded by the bytes actually present and neither
+    // preallocation can outrun the file.
     let mut starts = Vec::with_capacity(n_rows + 1);
+    let mut entries = Vec::with_capacity(b.len().saturating_sub(4 * n_rows));
     let mut off = 0usize;
     for _ in 0..n_rows {
-        starts.push(off as u32);
+        starts.push(entries.len() as u32);
         if off + 4 > b.len() {
             return Err(CodecError::UnexpectedEof);
         }
@@ -1408,6 +1369,7 @@ fn walk_var(b: &[u8], entry: usize, n_rows: usize, id: ColumnId) -> Result<Vec<u
         if b.len() - off < row_len {
             return Err(CodecError::UnexpectedEof);
         }
+        entries.extend_from_slice(&b[off + 4..off + row_len]);
         off += row_len;
     }
     if off != b.len() {
@@ -1417,45 +1379,37 @@ fn walk_var(b: &[u8], entry: usize, n_rows: usize, id: ColumnId) -> Result<Vec<u
             b.len() - off
         )));
     }
-    starts.push(off as u32);
-    Ok(starts)
+    starts.push(entries.len() as u32);
+    Ok(ColumnReader {
+        layout,
+        payload: Bytes::from(entries),
+        starts,
+    })
 }
 
 impl ColumnReader {
-    /// Which column this reads.
-    pub fn id(&self) -> ColumnId {
-        self.id
-    }
-
     /// Entries in `row` (1 for fixed columns).
     #[inline]
-    pub fn count(&self, row: usize) -> usize {
+    fn count(&self, row: usize) -> usize {
         match self.layout {
             ColumnLayout::Fixed(_) => 1,
-            ColumnLayout::Var(entry) => {
-                (self.starts[row + 1] - self.starts[row]) as usize / entry
-                // interleaved rows carry a count prefix: (len - 4) /
-                // entry, but 4/entry == 0 since entry > 4 for every
-                // schema column; packed rows divide exactly.
-            }
+            ColumnLayout::Var(entry) => (self.starts[row + 1] - self.starts[row]) as usize / entry,
         }
     }
 
-    /// The fixed-stride record of `row`.
+    /// The bytes of rows `a..b`: their records, or their entries.
     #[inline]
-    pub fn fixed_row(&self, row: usize) -> &[u8] {
-        let stride = match self.layout {
-            ColumnLayout::Fixed(s) => s,
-            ColumnLayout::Var(_) => unreachable!("fixed_row on var column"),
-        };
-        &self.payload[row * stride..(row + 1) * stride]
+    fn span(&self, a: usize, b: usize) -> &[u8] {
+        match self.layout {
+            ColumnLayout::Fixed(stride) => &self.payload[a * stride..b * stride],
+            ColumnLayout::Var(_) => &self.payload[self.starts[a] as usize..self.starts[b] as usize],
+        }
     }
 
-    /// The packed entries of `row` (count prefix stripped, when present).
+    /// The record or the entries of `row`.
     #[inline]
-    pub fn entries(&self, row: usize) -> &[u8] {
-        let skip = if self.packed { 0 } else { 4 };
-        &self.payload[self.starts[row] as usize + skip..self.starts[row + 1] as usize]
+    fn row(&self, row: usize) -> &[u8] {
+        self.span(row, row + 1)
     }
 }
 
@@ -1467,77 +1421,63 @@ const JET_ID_STRIDE: usize = 12;
 const CAND_STRIDE: usize = 96;
 const P4_STRIDE: usize = 32;
 
-/// Materialize one row with a slim applied (dropped collections are
-/// never decoded). `keep_all` gives the exact stored event.
-fn decode_row(r: &[ColumnReader; N_COLUMNS], row: usize, slim: &SlimSpec) -> AodEvent {
-    let hb = r[ColumnId::Header as usize].fixed_row(row);
-    let header = EventHeader::new(rd_u32(hb, 0), rd_u32(hb, 4), rd_u64(hb, 8));
-    let mut ev = AodEvent::new(header);
+/// Refill `ev` with one row, a slim applied: every collection is
+/// cleared and only the kept ones are decoded (the columns of dropped
+/// ones are never touched). `keep_all` gives the exact stored event. The
+/// one row decoder: [`ColumnarFile::to_rows`] passes a fresh event per
+/// row, and the skim's survivor callback one reused scratch event, as
+/// the row codec's `get_into` does.
+fn decode_row_into(r: &[ColumnReader; N_COLUMNS], row: usize, slim: &SlimSpec, ev: &mut AodEvent) {
+    use ColumnId as C;
+    let bytes = |id: C| r[id as usize].row(row);
+    let count = |id: C| r[id as usize].count(row);
+    let hb = bytes(C::Header);
+    ev.header = EventHeader::new(rd_u32(hb, 0), rd_u32(hb, 4), rd_u64(hb, 8));
+    ev.electrons.clear();
+    ev.muons.clear();
+    ev.photons.clear();
+    ev.jets.clear();
+    ev.candidates.clear();
     if slim.keep_electrons {
-        let p4 = r[ColumnId::ElectronP4 as usize].entries(row);
-        let id = r[ColumnId::ElectronId as usize].entries(row);
-        let n = r[ColumnId::ElectronP4 as usize].count(row);
-        ev.electrons.reserve(n);
-        for i in 0..n {
-            ev.electrons.push(Electron {
+        let (p4, id) = (bytes(C::ElectronP4), bytes(C::ElectronId));
+        ev.electrons
+            .extend((0..count(C::ElectronP4)).map(|i| Electron {
                 momentum: rd_p4(p4, i * P4_STRIDE),
                 charge: id[i * E_ID_STRIDE] as i8,
                 e_over_p: rd_f64(id, i * E_ID_STRIDE + 1),
                 isolation: rd_f64(id, i * E_ID_STRIDE + 9),
-            });
-        }
+            }));
     }
     if slim.keep_muons {
-        let p4 = r[ColumnId::MuonP4 as usize].entries(row);
-        let id = r[ColumnId::MuonId as usize].entries(row);
-        let n = r[ColumnId::MuonP4 as usize].count(row);
-        ev.muons.reserve(n);
-        for i in 0..n {
-            ev.muons.push(Muon {
-                momentum: rd_p4(p4, i * P4_STRIDE),
-                charge: id[i * MU_ID_STRIDE] as i8,
-                n_stations: id[i * MU_ID_STRIDE + 1],
-                isolation: rd_f64(id, i * MU_ID_STRIDE + 2),
-            });
-        }
+        let (p4, id) = (bytes(C::MuonP4), bytes(C::MuonId));
+        ev.muons.extend((0..count(C::MuonP4)).map(|i| Muon {
+            momentum: rd_p4(p4, i * P4_STRIDE),
+            charge: id[i * MU_ID_STRIDE] as i8,
+            n_stations: id[i * MU_ID_STRIDE + 1],
+            isolation: rd_f64(id, i * MU_ID_STRIDE + 2),
+        }));
     }
     if slim.keep_photons {
-        let b = r[ColumnId::Photon as usize].entries(row);
-        let n = r[ColumnId::Photon as usize].count(row);
-        ev.photons.reserve(n);
-        for i in 0..n {
-            ev.photons.push(Photon {
-                momentum: rd_p4(b, i * PHOTON_STRIDE),
-                isolation: rd_f64(b, i * PHOTON_STRIDE + 32),
-            });
-        }
+        let b = bytes(C::Photon);
+        ev.photons.extend((0..count(C::Photon)).map(|i| Photon {
+            momentum: rd_p4(b, i * PHOTON_STRIDE),
+            isolation: rd_f64(b, i * PHOTON_STRIDE + 32),
+        }));
     }
-    let n_jets = if slim.max_jets == 0 {
-        0 // the jet columns may not even be open; don't touch them
-    } else {
-        r[ColumnId::JetP4 as usize]
-            .count(row)
-            .min(slim.max_jets as usize)
-    };
-    if n_jets > 0 {
-        let p4 = r[ColumnId::JetP4 as usize].entries(row);
-        let id = r[ColumnId::JetId as usize].entries(row);
-        ev.jets.reserve(n_jets);
-        for i in 0..n_jets {
-            ev.jets.push(Jet {
-                momentum: rd_p4(p4, i * P4_STRIDE),
-                n_constituents: rd_u32(id, i * JET_ID_STRIDE),
-                em_fraction: rd_f64(id, i * JET_ID_STRIDE + 4),
-            });
-        }
+    if slim.max_jets > 0 {
+        let (p4, id) = (bytes(C::JetP4), bytes(C::JetId));
+        let n = count(C::JetP4).min(slim.max_jets as usize);
+        ev.jets.extend((0..n).map(|i| Jet {
+            momentum: rd_p4(p4, i * P4_STRIDE),
+            n_constituents: rd_u32(id, i * JET_ID_STRIDE),
+            em_fraction: rd_f64(id, i * JET_ID_STRIDE + 4),
+        }));
     }
     if slim.keep_candidates {
-        let b = r[ColumnId::Candidate as usize].entries(row);
-        let n = r[ColumnId::Candidate as usize].count(row);
-        ev.candidates.reserve(n);
-        for i in 0..n {
+        let b = bytes(C::Candidate);
+        ev.candidates.extend((0..count(C::Candidate)).map(|i| {
             let o = i * CAND_STRIDE;
-            ev.candidates.push(TwoProngCandidate {
+            TwoProngCandidate {
                 vertex: rd_p4(b, o),
                 flight_xy: rd_f64(b, o + 32),
                 pt: rd_f64(b, o + 40),
@@ -1547,16 +1487,15 @@ fn decode_row(r: &[ColumnReader; N_COLUMNS], row: usize, slim: &SlimSpec) -> Aod
                 mass_kpi: rd_f64(b, o + 72),
                 proper_time_d0_ns: rd_f64(b, o + 80),
                 track_indices: (rd_u32(b, o + 88), rd_u32(b, o + 92)),
-            });
-        }
+            }
+        }));
     }
-    let s = r[ColumnId::Scalars as usize].fixed_row(row);
+    let s = bytes(C::Scalars);
     ev.met = Met {
         mex: rd_f64(s, 0),
         mey: rd_f64(s, 8),
     };
     ev.n_tracks = rd_u32(s, 16);
-    ev
 }
 
 // --- Predicate-pushdown skim ------------------------------------------------
@@ -1613,7 +1552,7 @@ fn eval_mask(cache: &mut ColumnCache<'_>, sel: &Selection) -> Result<Vec<bool>, 
                 .map(|row| {
                     let mut count = 0u32;
                     for col in cols {
-                        let b = col.entries(row);
+                        let b = col.row(row);
                         for i in 0..col.count(row) {
                             let px = rd_f64(b, i * P4_STRIDE);
                             let py = rd_f64(b, i * P4_STRIDE + 8);
@@ -1641,7 +1580,7 @@ fn eval_mask(cache: &mut ColumnCache<'_>, sel: &Selection) -> Result<Vec<bool>, 
             let col = cache.get(ColumnId::Scalars);
             (0..n_rows)
                 .map(|row| {
-                    let s = col.fixed_row(row);
+                    let s = col.row(row);
                     let (mex, mey) = (rd_f64(s, 0), rd_f64(s, 8));
                     (mex * mex + mey * mey).sqrt() >= *min
                 })
@@ -1661,7 +1600,7 @@ fn eval_mask(cache: &mut ColumnCache<'_>, sel: &Selection) -> Result<Vec<bool>, 
             };
             (0..n_rows)
                 .map(|row| {
-                    let b = col.entries(row);
+                    let b = col.row(row);
                     (0..col.count(row))
                         .any(|i| (rd_f64(b, i * CAND_STRIDE + off) - mass).abs() <= *window)
                 })
@@ -1671,7 +1610,7 @@ fn eval_mask(cache: &mut ColumnCache<'_>, sel: &Selection) -> Result<Vec<bool>, 
             cache.ensure(ColumnId::Scalars)?;
             let col = cache.get(ColumnId::Scalars);
             (0..n_rows)
-                .map(|row| rd_u32(col.fixed_row(row), 16) >= *n)
+                .map(|row| rd_u32(col.row(row), 16) >= *n)
                 .collect()
         }
         Selection::And(a, b) => {
@@ -1696,7 +1635,7 @@ fn eval_mask(cache: &mut ColumnCache<'_>, sel: &Selection) -> Result<Vec<bool>, 
 fn count_mask(col: &ColumnReader, n_rows: usize, stride: usize, n: u32, pt: f64) -> Vec<bool> {
     (0..n_rows)
         .map(|row| {
-            let b = col.entries(row);
+            let b = col.row(row);
             let mut count = 0u32;
             for i in 0..col.count(row) {
                 let px = rd_f64(b, i * stride);
@@ -1735,7 +1674,8 @@ pub fn skim_slim_columnar(
 
 /// [`skim_slim_columnar`] with a per-survivor callback receiving each
 /// slimmed event (the workflow fills the analysis ntuple with it). Only
-/// survivors are materialized, and only their kept columns are decoded.
+/// survivors are decoded, only their kept columns, each into the one
+/// scratch event the callback borrows.
 pub fn skim_slim_columnar_with(
     file: &Bytes,
     selection: &Selection,
@@ -1821,42 +1761,26 @@ fn skim_columnar_core(
                 continue;
             }
             let col = cache.get(*id);
-            match id.layout() {
-                ColumnLayout::Fixed(stride) => {
-                    entries.reserve(n_out * stride);
-                    for &(a, b) in &runs {
-                        entries.put_slice(&col.payload[a * stride..b * stride]);
+            // The runs' extents bound the kept bytes (exactly, under no
+            // jet cap).
+            entries.reserve(runs.iter().map(|&(a, b)| col.span(a, b).len()).sum());
+            let cap = (matches!(id, ColumnId::JetP4 | ColumnId::JetId)
+                && slim.max_jets != u32::MAX)
+                .then_some(slim.max_jets as usize);
+            for &(a, b) in &runs {
+                match (id.layout(), cap) {
+                    // A run of rows is contiguous in every column: one copy.
+                    (ColumnLayout::Fixed(_), _) => entries.put_slice(col.span(a, b)),
+                    (ColumnLayout::Var(_), None) => {
+                        counts.extend((a..b).map(|row| col.count(row) as u32));
+                        entries.put_slice(col.span(a, b));
                     }
-                }
-                ColumnLayout::Var(entry) => {
-                    let max = if matches!(id, ColumnId::JetP4 | ColumnId::JetId)
-                        && slim.max_jets != u32::MAX
-                    {
-                        slim.max_jets as usize
-                    } else {
-                        usize::MAX
-                    };
-                    // The runs' extents bound the kept entries (exactly, for
-                    // a packed reader under no jet cap).
-                    let extent: usize = runs
-                        .iter()
-                        .map(|&(a, b)| (col.starts[b] - col.starts[a]) as usize)
-                        .sum();
-                    entries.reserve(extent);
-                    for &(a, b) in &runs {
-                        if col.packed && max == usize::MAX {
-                            // Packed rows are contiguous entries: one copy
-                            // per run.
-                            counts.extend((a..b).map(|row| col.count(row) as u32));
-                            entries.put_slice(
-                                &col.payload[col.starts[a] as usize..col.starts[b] as usize],
-                            );
-                        } else {
-                            for row in a..b {
-                                let n = col.count(row).min(max);
-                                counts.push(n as u32);
-                                entries.put_slice(&col.entries(row)[..n * entry]);
-                            }
+                    // Capped jets keep each row's leading entries.
+                    (ColumnLayout::Var(entry), Some(max)) => {
+                        for row in a..b {
+                            let n = col.count(row).min(max);
+                            counts.push(n as u32);
+                            entries.put_slice(&col.row(row)[..n * entry]);
                         }
                     }
                 }
@@ -1879,21 +1803,25 @@ fn skim_columnar_core(
         readers: mut slots, ..
     } = cache;
     if let Some(cb) = on_survivor {
-        // Materialize survivors (slimmed) straight off the kept input
-        // columns — non-survivors and dropped collections never decode.
-        // decode_row only touches kept columns; placeholder readers for
-        // dropped ones keep the array total.
-        let readers: [ColumnReader; N_COLUMNS] = std::array::from_fn(|i| {
-            slots[i].take().unwrap_or_else(|| ColumnReader {
-                id: ColumnId::ALL[i],
+        // Decode survivors (slimmed) straight off the kept input columns
+        // into one reused scratch event — non-survivors and dropped
+        // collections never decode; a dropped collection reads as an
+        // empty column. The trusted open skipped the digests, so the
+        // decoder's p4/id pairing is checked first, as the verified
+        // read checks it.
+        let readers: [ColumnReader; N_COLUMNS] = std::array::from_fn(|i| match slots[i].take() {
+            Some(r) if keep[i] => r,
+            // Only variable columns are ever dropped.
+            _ => ColumnReader {
                 layout: ColumnId::ALL[i].layout(),
                 payload: Bytes::new(),
-                starts: Vec::new(),
-                packed: false,
-            })
+                starts: vec![0; cf.n_rows + 1],
+            },
         });
+        cross_check_counts(&readers, cf.n_rows)?;
+        let mut ev = AodEvent::new(EventHeader::new(0, 0, 0));
         for &row in &survivors {
-            let ev = decode_row(&readers, row as usize, slim);
+            decode_row_into(&readers, row as usize, slim, &mut ev);
             cb(&ev);
         }
     }
@@ -2117,28 +2045,69 @@ mod tests {
         }
     }
 
+    /// One electron whose negative E/p and isolation cost 10-byte
+    /// varints: its id column deltas to 1 + 21 bytes behind a 2-byte
+    /// counts block, over the 4 + 17 raw bytes, so the `e-id` frame of a
+    /// file holding this row is the interleaved raw row.
+    fn one_electron_event() -> AodEvent {
+        let mut ev = AodEvent::new(EventHeader::new(194_270, 12, 900_000));
+        ev.electrons.push(Electron {
+            momentum: FourVector {
+                px: 30.0,
+                py: -4.0,
+                pz: 11.0,
+                e: 32.5,
+            },
+            charge: -1,
+            e_over_p: -1.5,
+            isolation: -0.5,
+        });
+        ev
+    }
+
     #[test]
     fn skim_matches_the_row_path_for_every_selection_and_slim() {
         let events = sample_events(40);
-        let col_file = ColumnarFile::from_rows(&events);
-        for sel in selections() {
-            for slim in [
-                SlimSpec::keep_all(),
-                SlimSpec::leptons_only(),
-                SlimSpec::candidates_only(),
-            ] {
-                let (expected, exp_report) = skim_slim(&events, &sel, &slim);
-                let (out, report) =
-                    skim_slim_columnar(&col_file, &sel, &slim, None).expect("skims");
-                let survivors = ColumnarFile::parse(&out)
-                    .and_then(|f| f.to_rows())
-                    .expect("output decodes");
-                assert_eq!(survivors, expected, "sel {} slim {}", sel, slim.to_text());
-                assert_eq!(report.events_in, exp_report.events_in);
-                assert_eq!(report.events_out, exp_report.events_out);
-                // The output is canonical: exactly what encoding the
-                // survivors from scratch produces.
-                assert_eq!(out, ColumnarFile::from_rows(&expected));
+        let one = [one_electron_event()];
+        // The same 40 events as v2 and as v1 (raw throughout), and a
+        // one-row file whose e-id frame is raw.
+        let inputs: [(&str, &[AodEvent], Bytes); 3] = [
+            ("v2", &events, ColumnarFile::from_rows(&events)),
+            ("v1", &events, ColumnarFile::from_rows_v1(&events)),
+            ("raw e-id", &one, ColumnarFile::from_rows(&one)),
+        ];
+        // Caps the jets of every row carrying two or more.
+        let one_jet = SlimSpec {
+            max_jets: 1,
+            ..SlimSpec::keep_all()
+        };
+        for (name, events, col_file) in &inputs {
+            for sel in selections() {
+                for slim in [
+                    SlimSpec::keep_all(),
+                    SlimSpec::leptons_only(),
+                    SlimSpec::candidates_only(),
+                    one_jet,
+                ] {
+                    let case = format!("{name}: sel {sel} slim {}", slim.to_text());
+                    let (expected, exp_report) = skim_slim(events, &sel, &slim);
+                    let mut seen = Vec::new();
+                    let (out, report) =
+                        skim_slim_columnar_with(col_file, &sel, &slim, None, |ev| {
+                            seen.push(ev.clone())
+                        })
+                        .expect("skims");
+                    assert_eq!(seen, expected, "{case}");
+                    let survivors = ColumnarFile::parse(&out)
+                        .and_then(|f| f.to_rows())
+                        .expect("output decodes");
+                    assert_eq!(survivors, expected, "{case}");
+                    assert_eq!(report.events_in, exp_report.events_in, "{case}");
+                    assert_eq!(report.events_out, exp_report.events_out, "{case}");
+                    // The output is canonical: exactly what encoding the
+                    // survivors from scratch produces.
+                    assert_eq!(out, ColumnarFile::from_rows(&expected), "{case}");
+                }
             }
         }
     }
@@ -2154,6 +2123,65 @@ mod tests {
         skim_slim_columnar_with(&col_file, &sel, &slim, None, |ev| seen.push(ev.clone()))
             .expect("skims");
         assert_eq!(seen, expected);
+
+        // The callback borrows one scratch event, refilled per survivor:
+        // a row carrying every collection, then an empty row, must reach
+        // it with every collection of the first cleared.
+        let full = sample_events(2).pop().expect("two events");
+        assert!(
+            !full.electrons.is_empty()
+                && !full.muons.is_empty()
+                && !full.photons.is_empty()
+                && !full.jets.is_empty()
+                && !full.candidates.is_empty()
+        );
+        let events = [full, AodEvent::new(EventHeader::new(194_270, 2, 900_002))];
+        let col_file = ColumnarFile::from_rows(&events);
+        let mut seen = Vec::new();
+        skim_slim_columnar_with(
+            &col_file,
+            &Selection::All,
+            &SlimSpec::keep_all(),
+            None,
+            |ev| seen.push(ev.clone()),
+        )
+        .expect("skims");
+        assert_eq!(seen, events);
+    }
+
+    #[test]
+    fn survivor_decode_rejects_p4_and_id_columns_that_disagree() {
+        // e-p4 from rows with electrons, e-id from the same rows without
+        // them: every frame is well formed and sealed, only the pairing
+        // is wrong. The trusted skim skips the seals, so its survivor
+        // decode must check the pairing as the verified read does.
+        let events = sample_events(4);
+        let bare: Vec<AodEvent> = events
+            .iter()
+            .map(|ev| AodEvent {
+                electrons: Vec::new(),
+                ..ev.clone()
+            })
+            .collect();
+        let cols = ColumnId::ALL.map(|id| {
+            let src = if id == ColumnId::ElectronId {
+                &bare
+            } else {
+                &events
+            };
+            let (counts, entries) = build_column(id, src);
+            encode_column(id, &counts, &entries)
+        });
+        let file = assemble_file(COLUMNAR_VERSION, 4, &cols);
+        let verified = ColumnarFile::parse(&file)
+            .and_then(|f| f.to_rows())
+            .expect_err("verified read checks the pairing");
+        let trusted =
+            skim_slim_columnar_with(&file, &Selection::All, &SlimSpec::keep_all(), None, |_| {
+                panic!("no survivor may be decoded")
+            })
+            .expect_err("survivor decode checks the pairing");
+        assert_eq!(trusted.to_string(), verified.to_string());
     }
 
     #[test]
@@ -2323,22 +2351,9 @@ mod tests {
             assert_eq!(parsed.to_rows().expect("decodes")[0].met.mey, mey);
         }
 
-        // A variable column falls back to raw the same way: one electron
-        // whose negative E/p and isolation cost 10-byte varints deltas
-        // to 1 + 21 bytes behind a 2-byte counts block, over the 4 + 17
-        // raw bytes, so its id frame is the interleaved raw row.
-        let mut ev = AodEvent::new(EventHeader::new(194_270, 12, 900_000));
-        ev.electrons.push(Electron {
-            momentum: FourVector {
-                px: 30.0,
-                py: -4.0,
-                pz: 11.0,
-                e: 32.5,
-            },
-            charge: -1,
-            e_over_p: -1.5,
-            isolation: -0.5,
-        });
+        // A variable column falls back to raw the same way: the one
+        // electron's id frame is the interleaved raw row.
+        let ev = one_electron_event();
         let file = ColumnarFile::from_rows(std::slice::from_ref(&ev));
         let parsed = ColumnarFile::parse(&file).expect("parses");
         assert_eq!(frame_tag(&file, &parsed, ColumnId::ElectronId), TAG_RAW);

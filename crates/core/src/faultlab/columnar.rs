@@ -60,15 +60,27 @@ impl FaultClass for ColumnarTier {
 
     fn check(&self, fixture: &CampaignFixture, edit: &ByteEdit, _: &mut RerunCache) -> Outcome {
         let mutated = Bytes::from(edit.apply(&fixture.columnar_aod));
-        // Robustness probe: the pushdown skim must not panic or
-        // over-allocate on the mutant, whatever its Ok/Err result — same
-        // contract as the raw decoder probe on sealed tiers.
-        let _ = daspos_tiers::skim_slim_columnar(
-            &mutated,
-            &fixture.workflow.skim,
-            &fixture.workflow.slim,
-            None,
-        );
+        // Robustness probe: the pushdown skim, bare and with the
+        // survivor callback the workflow fills its ntuple through, must
+        // not panic or over-allocate on the mutant, whatever its Ok/Err
+        // result — same contract as the raw decoder probe on sealed
+        // tiers. The callback path checks more before it decodes rows,
+        // so it may fail where the bare skim succeeds; when both
+        // succeed they must agree, and the callback must have seen
+        // every survivor.
+        let (skim, slim) = (&fixture.workflow.skim, &fixture.workflow.slim);
+        let bare = daspos_tiers::skim_slim_columnar(&mutated, skim, slim, None);
+        let mut called = 0u64;
+        let with =
+            daspos_tiers::skim_slim_columnar_with(&mutated, skim, slim, None, |_| called += 1);
+        if let (Ok(bare), Ok(with)) = (bare, with) {
+            if bare != with || called != with.1.events_out {
+                return Outcome::Violation(format!(
+                    "columnar skims disagree: {} survivor(s) bare, {} with the callback, {called} called back",
+                    bare.1.events_out, with.1.events_out
+                ));
+            }
+        }
         let parsed = match ColumnarFile::parse(&mutated) {
             Err(e) => return Outcome::Detected(format!("columnar:{}", e.category().name())),
             Ok(f) => f,

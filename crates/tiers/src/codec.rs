@@ -526,6 +526,20 @@ fn get_fourvec(b: &mut impl Buf) -> Result<daspos_hep::FourVector, CodecError> {
     ))
 }
 
+/// The framed length of one AOD event: length prefix, header, five
+/// counts, the fixed-size records, MET and the track count.
+fn aod_frame_len(ev: &AodEvent) -> usize {
+    wire::EVENT_FRAME
+        + 5 * 4
+        + ev.electrons.len() * wire::ELECTRON
+        + ev.muons.len() * wire::MUON
+        + ev.photons.len() * wire::PHOTON
+        + ev.jets.len() * wire::JET
+        + 2 * 8
+        + ev.candidates.len() * wire::CANDIDATE
+        + 4
+}
+
 fn put_aod(buf: &mut BytesMut, ev: &AodEvent) {
     put_header(buf, &ev.header);
     buf.put_u32_le(ev.electrons.len() as u32);
@@ -1082,6 +1096,11 @@ impl Encodable for AodEvent {
     fn put(buf: &mut BytesMut, ev: &Self) {
         put_aod(buf, ev);
     }
+    /// Exact: a frozen file keeps its buffer's capacity, so a guess
+    /// above the length would be held for as long as the file lives.
+    fn frames_capacity(events: &[Self]) -> usize {
+        events.iter().map(aod_frame_len).sum()
+    }
     fn get(b: &mut Bytes) -> Result<Self, CodecError> {
         get_aod(b)
     }
@@ -1187,6 +1206,26 @@ mod tests {
         for events in [vec![], vec![sample_raw()], vec![RawEvent::scratch(), big]] {
             let data = RawEvent::encode_events(&events);
             assert_eq!(FILE_HEADER_LEN + RawEvent::frames_capacity(&events), data.len());
+        }
+    }
+
+    #[test]
+    fn aod_frames_capacity_is_the_exact_length() {
+        let mut big = sample_aod();
+        big.photons.push(Photon {
+            momentum: FourVector::from_pt_eta_phi_m(12.0, -0.3, 2.0, 0.0),
+            isolation: 0.05,
+        });
+        for _ in 0..3 {
+            big.photons.extend_from_within(..);
+            big.electrons.extend_from_within(..);
+            big.muons.extend_from_within(..);
+            big.jets.extend_from_within(..);
+            big.candidates.extend_from_within(..);
+        }
+        for events in [vec![], vec![sample_aod()], vec![AodEvent::scratch(), big]] {
+            let data = AodEvent::encode_events(&events);
+            assert_eq!(FILE_HEADER_LEN + AodEvent::frames_capacity(&events), data.len());
         }
     }
 

@@ -153,19 +153,6 @@ impl IovSequence {
         IovSequence::default()
     }
 
-    /// Build a sequence directly from `(range, payload-index)` pairs;
-    /// rejects overlaps. Sorting happens once — `O(n log n)` total
-    /// instead of `O(n)` per insert.
-    pub fn from_entries(
-        entries: impl IntoIterator<Item = (RunRange, usize)>,
-    ) -> Result<Self, ConditionsError> {
-        let mut seq = IovSequence::new();
-        for (range, idx) in entries {
-            seq.insert(range, idx)?;
-        }
-        Ok(seq)
-    }
-
     /// Insert an interval pointing at `payload_index`; rejects overlaps.
     ///
     /// `O(log n)` search plus the vector shift: entries are sorted and
@@ -394,21 +381,5 @@ mod tests {
         let b = a.clone();
         assert_eq!(a.resolve(15), Some(1)); // moves a's cursor only
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn from_entries_builds_and_rejects_overlap() {
-        let seq = IovSequence::from_entries([
-            (RunRange::new(11, 20).unwrap(), 1),
-            (RunRange::new(1, 10).unwrap(), 0),
-        ])
-        .unwrap();
-        assert_eq!(seq.resolve(5), Some(0));
-        assert_eq!(seq.resolve(15), Some(1));
-        assert!(IovSequence::from_entries([
-            (RunRange::new(1, 10).unwrap(), 0),
-            (RunRange::new(5, 15).unwrap(), 1),
-        ])
-        .is_err());
     }
 }

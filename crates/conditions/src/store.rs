@@ -36,14 +36,6 @@ impl Payload {
         }
     }
 
-    /// The vector contents, if this payload is one.
-    pub fn as_vector(&self) -> Option<&[f64]> {
-        match self {
-            Payload::Vector(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Approximate serialized size in bytes, used for tier-size accounting.
     pub fn byte_size(&self) -> usize {
         match self {
@@ -121,11 +113,6 @@ impl GlobalTag {
         self.sequences.keys()
     }
 
-    /// Number of distinct condition keys.
-    pub fn key_count(&self) -> usize {
-        self.sequences.len()
-    }
-
     /// Total payload bytes stored.
     pub fn byte_size(&self) -> usize {
         self.payloads.iter().map(Payload::byte_size).sum()
@@ -138,11 +125,6 @@ impl GlobalTag {
                 .iter()
                 .map(move |(range, idx)| (key, *range, &self.payloads[*idx]))
         })
-    }
-
-    /// True once the tag is frozen.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
     }
 
     /// Summed `(cursor_hits, lookups)` over every key's IoV cursor
@@ -229,11 +211,6 @@ impl ConditionsStore {
             .get(tag)
             .ok_or_else(|| ConditionsError::UnknownTag(tag.to_string()))?;
         Ok(f(t))
-    }
-
-    /// Names of all tags in the store.
-    pub fn tag_names(&self) -> Vec<String> {
-        self.tags.read().unwrap_or_else(PoisonError::into_inner).keys().cloned().collect()
     }
 
     /// Summed `(cursor_hits, lookups)` over every tag — the store-wide

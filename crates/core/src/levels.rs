@@ -31,17 +31,6 @@ impl DphepLevel {
         }
     }
 
-    /// From the numeric level.
-    pub fn from_number(n: u8) -> Option<DphepLevel> {
-        Some(match n {
-            1 => DphepLevel::Documentation,
-            2 => DphepLevel::SimplifiedFormats,
-            3 => DphepLevel::AnalysisData,
-            4 => DphepLevel::FullCapability,
-            _ => return None,
-        })
-    }
-
     /// The DPHEP description of the level.
     pub fn description(&self) -> &'static str {
         match self {
@@ -80,15 +69,6 @@ impl fmt::Display for DphepLevel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn numbers_round_trip() {
-        for level in DphepLevel::all() {
-            assert_eq!(DphepLevel::from_number(level.number()), Some(level));
-        }
-        assert_eq!(DphepLevel::from_number(0), None);
-        assert_eq!(DphepLevel::from_number(5), None);
-    }
 
     #[test]
     fn ordering_matches_capability() {

@@ -382,45 +382,29 @@ impl PreservedWorkflow {
         enc_aod.finish();
 
         // --- Skim / slim / ntuple ----------------------------------------
-        // Sequential runs take the single-pass streaming skim straight
-        // off the encoded AOD file: decode, filter, slim and ntuple-ize
-        // per event with reused scratch buffers, never materializing the
-        // skimmed Vec<AodEvent>. Multi-threaded runs keep the chunked
-        // batch skim. Both produce byte-identical skim files and
-        // identical reports/ntuples (asserted by tests), so the engine
-        // choice never changes the archived output. Columnar runs use
-        // the predicate-pushdown pass over the DPCF file instead — same
-        // surviving events, column-major bytes.
+        // One pass over the encoded AOD file at every thread count: decode,
+        // filter, slim and ntuple-ize per event, never materializing the
+        // skimmed Vec<AodEvent>. Row files take the streaming skim; columnar
+        // files the predicate-pushdown pass — same surviving events,
+        // column-major bytes.
         let mut skim_span = root.child("skim");
-        let (skim_file, skim_report, ntuple) = if opts.tier_format == TierFormat::Columnar {
-            let mut ntuple = Ntuple::empty(self.ntuple_schema.clone());
-            let (skim_file, skim_report) = daspos_tiers::skim_slim_columnar_with(
+        let mut ntuple = Ntuple::empty(self.ntuple_schema.clone());
+        let (skim_file, skim_report) = match opts.tier_format {
+            TierFormat::Row => daspos_tiers::skim::skim_slim_streaming_with(
+                &aod_file,
+                &self.skim,
+                &self.slim,
+                |ev| ntuple.append(ev),
+            ),
+            TierFormat::Columnar => daspos_tiers::skim_slim_columnar_with(
                 &aod_file,
                 &self.skim,
                 &self.slim,
                 metrics,
                 |ev| ntuple.append(ev),
-            )
-            .map_err(|e| Error::from(e).at(Stage::Skim))?;
-            (skim_file, skim_report, ntuple)
-        } else if threads <= 1 {
-            let mut ntuple = Ntuple::empty(self.ntuple_schema.clone());
-            let (skim_file, skim_report) = daspos_tiers::skim::skim_slim_streaming_observed(
-                &aod_file,
-                &self.skim,
-                &self.slim,
-                metrics,
-                |ev| ntuple.append(ev),
-            )
-            .map_err(|e| Error::from(e).at(Stage::Skim))?;
-            (skim_file, skim_report, ntuple)
-        } else {
-            let (skimmed, skim_report) =
-                daspos_tiers::skim::skim_slim_chunked(&aod_events, &self.skim, &self.slim, threads);
-            let skim_file = AodEvent::encode_events_parallel(&skimmed, threads);
-            let ntuple = Ntuple::fill(self.ntuple_schema.clone(), &skimmed);
-            (skim_file, skim_report, ntuple)
-        };
+            ),
+        }
+        .map_err(|e| Error::from(e).at(Stage::Skim))?;
         let skim_bytes = skim_file.len() as u64;
         let skim_events = skim_report.events_out;
         skim_span.field("events_in", skim_report.events_in);

@@ -59,12 +59,6 @@ impl GeneratorConfig {
         }
     }
 
-    /// Builder: set the run number.
-    pub fn with_run(mut self, run: u32) -> Self {
-        self.run = run;
-        self
-    }
-
     /// Builder: set pileup.
     pub fn with_pileup(mut self, mu: f64) -> Self {
         self.pileup.mu = mu;
@@ -248,9 +242,8 @@ mod tests {
 
     #[test]
     fn describe_mentions_all_knobs() {
-        let cfg = GeneratorConfig::new(ProcessKind::Higgs, 99)
-            .with_run(7)
-            .with_pileup(3.0);
+        let mut cfg = GeneratorConfig::new(ProcessKind::Higgs, 99).with_pileup(3.0);
+        cfg.run = 7;
         let d = cfg.describe();
         assert!(d.contains("higgs") && d.contains("run=7") && d.contains("seed=99"));
     }

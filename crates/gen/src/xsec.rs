@@ -56,20 +56,9 @@ impl CrossSectionTable {
             .unwrap_or(0.0)
     }
 
-    /// Processes with non-zero cross-section.
-    pub fn processes(&self) -> impl Iterator<Item = (ProcessKind, f64)> + '_ {
-        self.entries.iter().copied().filter(|(_, pb)| *pb > 0.0)
-    }
-
     /// Sum of all cross-sections (pb).
     pub fn total(&self) -> f64 {
         self.entries.iter().map(|(_, pb)| pb).sum()
-    }
-
-    /// Expected event yield for a process at integrated luminosity
-    /// `lumi_ipb` (in inverse picobarns): `N = σ·L`.
-    pub fn expected_events(&self, kind: ProcessKind, lumi_ipb: f64) -> f64 {
-        self.get(kind) * lumi_ipb
     }
 }
 
@@ -94,21 +83,5 @@ mod tests {
         t.set(ProcessKind::Higgs, 55.0);
         assert_eq!(t.get(ProcessKind::Higgs), 55.0);
         assert_eq!(t.total(), 55.0);
-    }
-
-    #[test]
-    fn expected_yield() {
-        let t = CrossSectionTable::default();
-        // 1 fb⁻¹ = 1000 pb⁻¹ of Z production.
-        let n = t.expected_events(ProcessKind::ZBoson, 1000.0);
-        assert_eq!(n, 6.0e6);
-    }
-
-    #[test]
-    fn processes_skips_zero() {
-        let mut t = CrossSectionTable::empty();
-        t.set(ProcessKind::ZBoson, 10.0);
-        t.set(ProcessKind::WBoson, 0.0);
-        assert_eq!(t.processes().count(), 1);
     }
 }

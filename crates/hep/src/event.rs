@@ -49,12 +49,6 @@ impl EventHeader {
             event: EventId(event),
         }
     }
-
-    /// Canonical `run:lumi:event` rendering used in log and provenance
-    /// records.
-    pub fn coordinate(&self) -> String {
-        format!("{}:{}:{}", self.run.0, self.lumi_block.0, self.event.0)
-    }
 }
 
 /// Which physical process the generator produced (truth-level label).
@@ -264,11 +258,6 @@ mod tests {
             .with_parent(z),
         );
         ev
-    }
-
-    #[test]
-    fn header_coordinate() {
-        assert_eq!(EventHeader::new(10, 20, 30).coordinate(), "10:20:30");
     }
 
     #[test]

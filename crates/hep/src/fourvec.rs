@@ -126,13 +126,6 @@ impl FourVector {
         0.5 * ((self.e + self.pz) / (self.e - self.pz)).ln()
     }
 
-    /// Polar angle θ from the +z axis, in radians.
-    #[inline]
-    pub fn theta(&self) -> f64 {
-        let pt = self.pt();
-        pt.atan2(self.pz)
-    }
-
     /// Invariant mass squared m² = E² − |p|² (may be negative for
     /// spacelike vectors produced by resolution smearing).
     #[inline]
@@ -147,25 +140,6 @@ impl FourVector {
     #[inline]
     pub fn mass(&self) -> f64 {
         self.m2().max(0.0).sqrt()
-    }
-
-    /// Minkowski inner product a·b = E_a E_b − p_a·p_b.
-    #[inline]
-    pub fn dot(&self, other: &FourVector) -> f64 {
-        self.e * other.e
-            - self.px * other.px
-            - self.py * other.py
-            - self.pz * other.pz
-    }
-
-    /// β = |p|/E of the particle. Returns 0 for a zero vector.
-    #[inline]
-    pub fn beta(&self) -> f64 {
-        if self.e == 0.0 {
-            0.0
-        } else {
-            self.p() / self.e
-        }
     }
 
     /// Lorentz factor γ = E/m. Errors for non-timelike vectors.
@@ -209,19 +183,6 @@ impl FourVector {
             pz: self.pz + gamma2 * bp * bz + gamma * bz * self.e,
             e: gamma * (self.e + bp),
         })
-    }
-
-    /// Boost `self` into the rest frame of `frame` (which must be timelike).
-    pub fn boosted_to_rest_frame_of(&self, frame: &FourVector) -> Result<FourVector, HepError> {
-        let m2 = frame.m2();
-        if m2 <= 0.0 {
-            return Err(HepError::NotTimelike { m2 });
-        }
-        self.boosted(
-            -frame.px / frame.e,
-            -frame.py / frame.e,
-            -frame.pz / frame.e,
-        )
     }
 
     /// Boost `self` (defined in the rest frame of `frame`) into the lab
@@ -376,7 +337,7 @@ mod tests {
     #[test]
     fn boost_to_rest_frame_gives_mass_energy() {
         let v = FourVector::from_pt_eta_phi_m(40.0, -0.8, 2.1, 91.2);
-        let rest = v.boosted_to_rest_frame_of(&v).unwrap();
+        let rest = v.boosted(-v.px / v.e, -v.py / v.e, -v.pz / v.e).unwrap();
         assert!(rest.p() < 1e-6, "residual momentum {}", rest.p());
         assert!((rest.e - 91.2).abs() < 1e-6);
     }
@@ -385,7 +346,9 @@ mod tests {
     fn boost_round_trip_identity() {
         let frame = FourVector::from_pt_eta_phi_m(30.0, 0.5, -1.0, 91.2);
         let v = FourVector::from_pt_eta_phi_m(12.0, -1.5, 0.3, 0.0);
-        let there = v.boosted_to_rest_frame_of(&frame).unwrap();
+        let there = v
+            .boosted(-frame.px / frame.e, -frame.py / frame.e, -frame.pz / frame.e)
+            .unwrap();
         let back = there.boosted_from_rest_frame_of(&frame).unwrap();
         assert!((back.px - v.px).abs() < 1e-9);
         assert!((back.py - v.py).abs() < 1e-9);

@@ -79,14 +79,6 @@ impl Binning {
     pub fn center(&self, i: usize) -> f64 {
         self.lo + (i as f64 + 0.5) * self.width()
     }
-
-    /// `[low, high)` edges of regular bin `i`.
-    pub fn edges(&self, i: usize) -> (f64, f64) {
-        (
-            self.lo + i as f64 * self.width(),
-            self.lo + (i + 1) as f64 * self.width(),
-        )
-    }
 }
 
 /// Where a fill landed.
@@ -331,16 +323,6 @@ impl Hist2D {
         &self.name
     }
 
-    /// X-axis binning.
-    pub fn x_binning(&self) -> &Binning {
-        &self.x
-    }
-
-    /// Y-axis binning.
-    pub fn y_binning(&self) -> &Binning {
-        &self.y
-    }
-
     /// Fill with unit weight.
     pub fn fill(&mut self, x: f64, y: f64) {
         self.fill_weighted(x, y, 1.0);
@@ -381,28 +363,6 @@ impl Hist2D {
     /// Integral over the grid (flow excluded).
     pub fn integral(&self) -> f64 {
         self.sumw.iter().sum()
-    }
-
-    /// Project onto the x axis, summing over y.
-    pub fn project_x(&self) -> Result<Hist1D, HepError> {
-        let mut h = Hist1D::new(
-            format!("{}_px", self.name),
-            self.x.nbins(),
-            self.x.lo(),
-            self.x.hi(),
-        )?;
-        for i in 0..self.x.nbins() {
-            let mut w = 0.0;
-            let mut w2 = 0.0;
-            for j in 0..self.y.nbins() {
-                let k = j * self.x.nbins() + i;
-                w += self.sumw[k];
-                w2 += self.sumw2[k];
-            }
-            h.sumw[i] = w;
-            h.sumw2[i] = w2;
-        }
-        Ok(h)
     }
 
     /// Merge another 2-D histogram of identical binning.
@@ -452,9 +412,7 @@ mod tests {
         let b = Binning::new(4, 0.0, 2.0).unwrap();
         assert!((b.width() - 0.5).abs() < 1e-12);
         assert!((b.center(0) - 0.25).abs() < 1e-12);
-        let (lo, hi) = b.edges(3);
-        assert!((lo - 1.5).abs() < 1e-12);
-        assert!((hi - 2.0).abs() < 1e-12);
+        assert!((b.hi() - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -545,7 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn hist2d_fill_project() {
+    fn hist2d_fill() {
         let mut h = Hist2D::new("grid", 4, 0.0, 4.0, 4, 0.0, 4.0).unwrap();
         h.fill(0.5, 0.5);
         h.fill(0.5, 3.5);
@@ -555,9 +513,6 @@ mod tests {
         assert_eq!(h.outside(), 1.0);
         assert_eq!(h.bin(0, 0), 1.0);
         assert_eq!(h.integral(), 3.0);
-        let px = h.project_x().unwrap();
-        assert_eq!(px.bin(0), 2.0);
-        assert_eq!(px.bin(3), 1.0);
     }
 
     #[test]

@@ -90,14 +90,6 @@ impl IdAllocator {
         }
     }
 
-    /// An allocator resuming from a known next value (used when a catalog
-    /// is restored from an archive).
-    pub fn starting_at(next: u64) -> Self {
-        IdAllocator {
-            next: AtomicU64::new(next),
-        }
-    }
-
     /// Hand out the next raw id.
     pub fn allocate(&self) -> u64 {
         self.next.fetch_add(1, Ordering::Relaxed)
@@ -143,12 +135,6 @@ mod tests {
         assert_eq!(a, 1);
         assert_eq!(b, 2);
         assert_eq!(alloc.peek(), 3);
-    }
-
-    #[test]
-    fn allocator_resume() {
-        let alloc = IdAllocator::starting_at(100);
-        assert_eq!(alloc.allocate(), 100);
     }
 
     #[test]

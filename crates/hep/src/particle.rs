@@ -9,7 +9,6 @@ use std::fmt;
 
 use crate::error::HepError;
 use crate::fourvec::FourVector;
-use crate::units;
 
 /// Electric charge in units of e, stored as thirds to stay exact for
 /// quarks.
@@ -17,12 +16,6 @@ use crate::units;
 pub struct Charge(pub i8);
 
 impl Charge {
-    /// Charge in units of the elementary charge.
-    #[inline]
-    pub fn as_units(&self) -> f64 {
-        f64::from(self.0) / 3.0
-    }
-
     /// True for charge zero.
     #[inline]
     pub fn is_neutral(&self) -> bool {
@@ -115,11 +108,6 @@ impl PdgId {
         SPECIES.iter().find(|(id, ..)| *id == abs)
     }
 
-    /// True when the species is known to the toolkit's table.
-    pub fn is_known(&self) -> bool {
-        self.entry().is_some()
-    }
-
     /// Rest mass in GeV.
     pub fn mass(&self) -> Result<f64, HepError> {
         self.entry()
@@ -198,11 +186,6 @@ impl PdgId {
     /// invisibly). Neutrinos are invisible; partons hadronize.
     pub fn is_visible(&self) -> bool {
         !self.is_neutrino() && !self.is_parton()
-    }
-
-    /// Width in GeV derived from the lifetime.
-    pub fn width_gev(&self) -> Result<f64, HepError> {
-        Ok(units::lifetime_to_width_gev(self.lifetime_ns()?))
     }
 }
 
@@ -336,7 +319,6 @@ mod tests {
     #[test]
     fn unknown_pdg_errors() {
         let bogus = PdgId(999_999);
-        assert!(!bogus.is_known());
         assert_eq!(bogus.mass(), Err(HepError::UnknownPdgId(999_999)));
         assert!(bogus.name().contains("999999"));
     }
@@ -358,8 +340,8 @@ mod tests {
 
     #[test]
     fn quark_charges_are_thirds() {
-        assert!((PdgId(2).charge().unwrap().as_units() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((PdgId(1).charge().unwrap().as_units() + 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(PdgId(2).charge().unwrap(), Charge(2));
+        assert_eq!(PdgId(1).charge().unwrap(), Charge(-1));
     }
 
     #[test]

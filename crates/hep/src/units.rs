@@ -24,36 +24,6 @@ pub const HBAR_C_GEV_MM: f64 = 1.973_269_804e-13;
 /// ħ in GeV·ns: `τ [ns] = HBAR_GEV_NS / Γ [GeV]`.
 pub const HBAR_GEV_NS: f64 = 6.582_119_569e-16;
 
-/// Convert picoseconds to nanoseconds.
-#[inline]
-pub fn ps_to_ns(ps: f64) -> f64 {
-    ps * 1.0e-3
-}
-
-/// Convert a resonance full width Γ (GeV) to a mean lifetime τ (ns).
-///
-/// Returns `f64::INFINITY` for a zero width (a stable particle).
-#[inline]
-pub fn width_to_lifetime_ns(width_gev: f64) -> f64 {
-    if width_gev <= 0.0 {
-        f64::INFINITY
-    } else {
-        HBAR_GEV_NS / width_gev
-    }
-}
-
-/// Convert a mean lifetime τ (ns) to a resonance full width Γ (GeV).
-///
-/// Returns `0.0` for an infinite lifetime.
-#[inline]
-pub fn lifetime_to_width_gev(tau_ns: f64) -> f64 {
-    if !tau_ns.is_finite() || tau_ns <= 0.0 {
-        0.0
-    } else {
-        HBAR_GEV_NS / tau_ns
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -62,32 +32,5 @@ mod tests {
     fn unit_ratios() {
         assert_eq!(TEV, 1000.0 * GEV);
         assert_eq!(GEV, 1000.0 * MEV);
-    }
-
-    #[test]
-    fn width_lifetime_round_trip() {
-        // The Z boson: Γ ≈ 2.495 GeV.
-        let tau = width_to_lifetime_ns(2.495);
-        assert!(tau > 0.0 && tau < 1e-10);
-        let back = lifetime_to_width_gev(tau);
-        assert!((back - 2.495).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_width_is_stable() {
-        assert!(width_to_lifetime_ns(0.0).is_infinite());
-        assert_eq!(lifetime_to_width_gev(f64::INFINITY), 0.0);
-    }
-
-    #[test]
-    fn d0_lifetime_scale() {
-        // The D0 meson lives about 0.41 ps — the LHCb masterclass exercise
-        // in Table 1 of the report measures exactly this.
-        let tau_ns = ps_to_ns(0.410);
-        assert!((tau_ns - 4.1e-4).abs() < 1e-9);
-        // At p = 10 GeV, m = 1.865 GeV, the mean flight distance is
-        // γβcτ = (p/m)·c·τ ≈ 0.66 mm: resolvable by a vertex detector.
-        let flight = 10.0 / 1.865 * C_MM_PER_NS * tau_ns;
-        assert!(flight > 0.3 && flight < 1.5, "flight = {flight}");
     }
 }

@@ -136,11 +136,6 @@ impl DataInterview {
         formats.dedup();
         formats
     }
-
-    /// Every lifecycle stage has pinned software versions.
-    pub fn all_versions_documented(&self) -> bool {
-        self.lifecycle.iter().all(|s| s.versions_documented)
-    }
 }
 
 #[cfg(test)]
@@ -223,15 +218,6 @@ mod tests {
         iv.lifecycle[1].formats.push("raw-fmt".to_string());
         let formats = iv.distinct_formats();
         assert_eq!(formats.len(), 3);
-    }
-
-    #[test]
-    fn version_documentation_aggregate() {
-        let iv = interview();
-        assert!(!iv.all_versions_documented());
-        let mut iv2 = iv;
-        iv2.lifecycle[2].versions_documented = true;
-        assert!(iv2.all_versions_documented());
     }
 
     #[test]

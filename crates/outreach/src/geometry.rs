@@ -72,22 +72,6 @@ impl GeometryDescription {
         }
     }
 
-    /// Render as XML-ish text (the ATLAS/LHCb-style carrier).
-    pub fn to_xml(&self) -> String {
-        let mut out = format!(
-            "<geometry experiment=\"{}\" field=\"{}\">\n",
-            self.experiment, self.field_tesla
-        );
-        for v in &self.volumes {
-            out.push_str(&format!(
-                "  <volume name=\"{}\" r=\"{}\" z=\"{}\" subsystem=\"{}\"/>\n",
-                v.name, v.r_mm, v.z_mm, v.subsystem
-            ));
-        }
-        out.push_str("</geometry>\n");
-        out
-    }
-
     /// Render as JSON (the CMS-style carrier).
     pub fn to_json(&self) -> String {
         let volumes: Vec<Value> = self
@@ -137,11 +121,8 @@ mod tests {
     }
 
     #[test]
-    fn xml_and_json_render() {
+    fn json_render() {
         let geo = GeometryDescription::from_detector(&Experiment::Atlas.detector());
-        let xml = geo.to_xml();
-        assert!(xml.contains("<geometry experiment=\"atlas\""));
-        assert!(xml.contains("tracker-layer-0"));
         let json = geo.to_json();
         let parsed = daspos_hep::json::parse(&json).unwrap();
         assert_eq!(

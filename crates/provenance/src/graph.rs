@@ -234,12 +234,6 @@ impl ProvenanceGraph {
         Ok(id)
     }
 
-    /// The step that produced a dataset, if recorded.
-    pub fn producer_of(&self, ds: DatasetId) -> Option<StepRecord> {
-        let g = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        g.producer.get(&ds).and_then(|s| g.steps.get(s)).cloned()
-    }
-
     /// Full lineage of a dataset: every ancestor step, ordered from the
     /// dataset's producer back to the roots.
     pub fn lineage(&self, ds: DatasetId) -> Result<Vec<StepRecord>, ProvenanceError> {

@@ -153,11 +153,6 @@ impl SoftwareStack {
         }
     }
 
-    /// Packages external to the experiment code base.
-    pub fn externals(&self) -> impl Iterator<Item = &SoftwareVersion> {
-        self.packages.iter().filter(|p| p.external)
-    }
-
     /// Canonical one-line rendering: `platform|pkg1;pkg2;…`.
     pub fn render(&self) -> String {
         let pkgs = self
@@ -243,16 +238,5 @@ mod tests {
             SoftwareVersion::new("conditions-db", 4, 0, 0).external(),
         ]);
         assert_eq!(SoftwareStack::parse(&stack.render()), Some(stack));
-    }
-
-    #[test]
-    fn externals_filter() {
-        let stack = SoftwareStack::on_current(vec![
-            SoftwareVersion::new("gen", 1, 0, 0),
-            SoftwareVersion::new("grid", 9, 0, 0).external(),
-        ]);
-        let ext: Vec<_> = stack.externals().collect();
-        assert_eq!(ext.len(), 1);
-        assert_eq!(ext[0].name, "grid");
     }
 }

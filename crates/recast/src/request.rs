@@ -38,29 +38,9 @@ pub enum RequestState {
     Failed,
 }
 
-impl RequestState {
-    /// True for states from which no further transition happens.
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            RequestState::Released | RequestState::Rejected | RequestState::Failed
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn terminal_states() {
-        assert!(!RequestState::Queued.is_terminal());
-        assert!(!RequestState::Running.is_terminal());
-        assert!(!RequestState::AwaitingApproval.is_terminal());
-        assert!(RequestState::Released.is_terminal());
-        assert!(RequestState::Rejected.is_terminal());
-        assert!(RequestState::Failed.is_terminal());
-    }
 
     #[test]
     fn request_carries_model_point() {

@@ -58,14 +58,6 @@ impl FinalState {
             .collect()
     }
 
-    /// Project only charged particles.
-    pub fn project_charged(&self, ev: &TruthEvent) -> Vec<SelectedParticle> {
-        self.project(ev)
-            .into_iter()
-            .filter(|p| p.pdg.charge().map(|c| !c.is_neutral()).unwrap_or(false))
-            .collect()
-    }
-
     /// Project only particles of the given |PDG| codes.
     pub fn project_ids(&self, ev: &TruthEvent, ids: &[i32]) -> Vec<SelectedParticle> {
         self.project(ev)
@@ -243,12 +235,6 @@ fn fast_dphi(a: f64, b: f64) -> f64 {
     }
 }
 
-/// Truth missing transverse momentum: |Σ pT| of invisible final-state
-/// particles.
-pub fn truth_met(ev: &TruthEvent) -> f64 {
-    ev.true_met()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,20 +264,6 @@ mod tests {
         let fs = FinalState::with_cuts(1.0, 2.5);
         assert_eq!(fs.project(&ev).len(), 1);
         assert_eq!(FinalState::full().project(&ev).len(), 3); // neutrino invisible
-    }
-
-    #[test]
-    fn charged_projection_drops_neutrals() {
-        let mut ev = TruthEvent::new(EventHeader::new(1, 1, 1), ProcessKind::MinimumBias);
-        ev.push(TruthParticle::final_state(
-            PdgId::PHOTON,
-            FourVector::from_pt_eta_phi_m(5.0, 0.0, 0.0, 0.0),
-        ));
-        ev.push(TruthParticle::final_state(
-            PdgId::PI_PLUS,
-            FourVector::from_pt_eta_phi_m(5.0, 0.0, 1.0, 0.14),
-        ));
-        assert_eq!(FinalState::full().project_charged(&ev).len(), 1);
     }
 
     #[test]
@@ -348,15 +320,5 @@ mod tests {
         let jets = anti_kt_generic(&[a, b], 0.4, 5.0);
         assert_eq!(jets.len(), 1);
         assert!(jets[0].pt() > 55.0);
-    }
-
-    #[test]
-    fn w_events_have_truth_met() {
-        let gen = EventGenerator::new(GeneratorConfig::new(ProcessKind::WBoson, 4));
-        let mut s = daspos_hep::stats::RunningStats::new();
-        for i in 0..100 {
-            s.push(truth_met(&gen.event(i)));
-        }
-        assert!(s.mean() > 20.0, "mean truth MET {}", s.mean());
     }
 }

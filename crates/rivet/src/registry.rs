@@ -2,21 +2,18 @@
 //!
 //! *"Once validated, the analysis 'code' can be included in the RIVET
 //! distribution, allowing anyone to reproduce the results of the analysis
-//! using independent Monte Carlo generation."* The registry holds the
-//! analyses plus, optionally, the reference data shipped with each.
+//! using independent Monte Carlo generation."* The registry holds those
+//! analyses, keyed by their metadata.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError, RwLock};
 
-use daspos_hep::hist::Hist1D;
-
 use crate::analysis::{Analysis, AnalysisMetadata};
 
-/// A thread-safe registry of preserved analyses and their reference data.
+/// A thread-safe registry of preserved analyses.
 #[derive(Default)]
 pub struct AnalysisRegistry {
     analyses: RwLock<BTreeMap<String, Arc<dyn Analysis>>>,
-    references: RwLock<BTreeMap<String, BTreeMap<String, Hist1D>>>,
 }
 
 impl AnalysisRegistry {
@@ -63,18 +60,6 @@ impl AnalysisRegistry {
     pub fn is_empty(&self) -> bool {
         self.analyses.read().unwrap_or_else(PoisonError::into_inner).is_empty()
     }
-
-    /// Attach reference data (the measured distributions shipped with the
-    /// analysis) to a key.
-    pub fn set_reference(&self, key: &str, data: BTreeMap<String, Hist1D>) {
-        let mut references = self.references.write().unwrap_or_else(PoisonError::into_inner);
-        references.insert(key.to_string(), data);
-    }
-
-    /// The reference data for a key, if shipped.
-    pub fn reference(&self, key: &str) -> Option<BTreeMap<String, Hist1D>> {
-        self.references.read().unwrap_or_else(PoisonError::into_inner).get(key).cloned()
-    }
 }
 
 #[cfg(test)]
@@ -100,19 +85,6 @@ mod tests {
         experiments.sort();
         experiments.dedup();
         assert_eq!(experiments, vec!["alice", "atlas", "cms", "lhcb"]);
-    }
-
-    #[test]
-    fn reference_data_attach_and_fetch() {
-        let r = AnalysisRegistry::with_builtin();
-        assert!(r.reference("ZLL_2013_I0001").is_none());
-        let mut data = BTreeMap::new();
-        data.insert(
-            "/ZLL_2013_I0001/m_ll".to_string(),
-            Hist1D::new("/ZLL_2013_I0001/m_ll", 50, 66.0, 116.0).unwrap(),
-        );
-        r.set_reference("ZLL_2013_I0001", data);
-        assert_eq!(r.reference("ZLL_2013_I0001").unwrap().len(), 1);
     }
 
     #[test]

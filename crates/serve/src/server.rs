@@ -109,11 +109,6 @@ impl Quota {
         ops_per_sec: 0,
     };
 
-    /// Whether every axis is unlimited.
-    pub fn is_unlimited(&self) -> bool {
-        *self == Quota::UNLIMITED
-    }
-
     /// Parse the CLI form `BYTES:INFLIGHT:OPS_PER_SEC` (each `0` =
     /// unlimited), e.g. `1073741824:8:200`.
     pub fn parse(s: &str) -> Option<Quota> {

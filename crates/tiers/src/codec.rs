@@ -10,9 +10,9 @@
 //!
 //! Every payload starts with the event header (run, lumi block, event
 //! number) so any tier of the same collision can be correlated. The
-//! `version` field is the handle the platform-migration experiment (P1)
-//! turns: decoding rejects versions it does not support, exactly the
-//! failure mode that strands un-migrated archives.
+//! `version` field is the format's migration handle: decoding rejects
+//! versions it does not support, exactly the failure mode that strands
+//! un-migrated archives.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use daspos_detsim::raw::{CaloCell, MuonHit, RawEvent, TrackerHit};
@@ -346,12 +346,6 @@ fn put_raw(buf: &mut BytesMut, ev: &RawEvent) {
     }
 }
 
-fn get_raw(b: &mut impl Buf) -> Result<RawEvent, CodecError> {
-    let mut ev = RawEvent::new(EventHeader::new(0, 0, 0));
-    get_raw_into(b, &mut ev)?;
-    Ok(ev)
-}
-
 /// Decode one RAW event into `ev`, reusing its collection capacity. The
 /// previous contents are cleared; on error the event is partially filled
 /// and must not be used.
@@ -458,17 +452,6 @@ fn put_reco(buf: &mut BytesMut, ev: &RecoEvent) {
         buf.put_f64_le(s.phi);
         buf.put_u8(s.n_stations);
     }
-}
-
-fn get_reco(b: &mut impl Buf) -> Result<RecoEvent, CodecError> {
-    let mut ev = RecoEvent {
-        header: EventHeader::new(0, 0, 0),
-        tracks: Vec::new(),
-        clusters: Vec::new(),
-        muon_segments: Vec::new(),
-    };
-    get_reco_into(b, &mut ev)?;
-    Ok(ev)
 }
 
 /// Decode one RECO event into `ev`, reusing its collection capacity.
@@ -585,12 +568,6 @@ fn put_aod(buf: &mut BytesMut, ev: &AodEvent) {
     buf.put_u32_le(ev.n_tracks);
 }
 
-fn get_aod(b: &mut impl Buf) -> Result<AodEvent, CodecError> {
-    let mut ev = AodEvent::new(EventHeader::new(0, 0, 0));
-    get_aod_into(b, &mut ev)?;
-    Ok(ev)
-}
-
 /// Decode one AOD event into `ev`, reusing its collection capacity.
 fn get_aod_into(b: &mut impl Buf, ev: &mut AodEvent) -> Result<(), CodecError> {
     ev.header = get_header(b)?;
@@ -666,16 +643,16 @@ fn get_aod_into(b: &mut impl Buf, ev: &mut AodEvent) -> Result<(), CodecError> {
 
 // --- File framing -----------------------------------------------------------
 
-/// Write the file header (magic, version, tier, event count).
+/// Write the file header (magic, current version, tier, event count).
 ///
 /// Panics if `n_events` does not fit the u32 count field: silently
 /// truncating the count would archive a file claiming fewer events than
 /// it holds — a preservation corruption worse than an aborted write.
-fn put_file_header(buf: &mut BytesMut, tier: DataTier, version: u16, n_events: usize) {
+fn put_file_header(buf: &mut BytesMut, tier: DataTier, n_events: usize) {
     let n = u32::try_from(n_events)
         .unwrap_or_else(|_| panic!("event count {n_events} exceeds the u32 DPEF count field"));
     buf.put_slice(MAGIC);
-    buf.put_u16_le(version);
+    buf.put_u16_le(FORMAT_VERSION);
     buf.put_u8(tier.code());
     buf.put_u32_le(n);
 }
@@ -702,20 +679,6 @@ fn put_frame<T: Encodable>(buf: &mut BytesMut, ev: &T) {
 /// Bytes of the DPEF file header (magic, version, tier, event count).
 const FILE_HEADER_LEN: usize = 4 + 2 + 1 + 4;
 
-/// Encode with an explicit version (the migration experiment writes
-/// "future" files this build then refuses to read).
-pub fn encode_file_with_version<T>(tier: DataTier, events: &[T], version: u16) -> Bytes
-where
-    T: Encodable,
-{
-    let mut buf = BytesMut::with_capacity(FILE_HEADER_LEN + T::frames_capacity(events));
-    put_file_header(&mut buf, tier, version, events.len());
-    for ev in events {
-        put_frame(&mut buf, ev);
-    }
-    buf.freeze()
-}
-
 /// Parallel encode: per-event payloads are produced on up to `threads`
 /// worker threads over contiguous event chunks, then the DPEF frame is
 /// assembled sequentially (header, then each chunk's frames in event
@@ -740,7 +703,7 @@ where
     });
     let body: usize = chunks.iter().map(|c| c.len()).sum();
     let mut buf = BytesMut::with_capacity(FILE_HEADER_LEN + body);
-    put_file_header(&mut buf, T::TIER, FORMAT_VERSION, events.len());
+    put_file_header(&mut buf, T::TIER, events.len());
     for chunk in chunks {
         buf.put_slice(&chunk);
     }
@@ -809,8 +772,8 @@ impl FrameCursor {
     }
 }
 
-/// Decode one framed payload, rejecting trailing bytes. Shared by the
-/// batch and streaming decoders so both report identical errors.
+/// Reject trailing bytes after a decoded payload. Shared by the batch and
+/// streaming decoders so both report identical errors.
 fn finish_payload(payload: &mut Bytes) -> Result<(), CodecError> {
     if payload.has_remaining() {
         return Err(CodecError::Corrupt(format!(
@@ -819,25 +782,6 @@ fn finish_payload(payload: &mut Bytes) -> Result<(), CodecError> {
         )));
     }
     Ok(())
-}
-
-fn decode_file<T>(
-    data: &Bytes,
-    tier: DataTier,
-    get: impl Fn(&mut Bytes) -> Result<T, CodecError>,
-) -> Result<Vec<T>, CodecError> {
-    let mut cursor = FrameCursor::new(data, tier)?;
-    let mut out = Vec::with_capacity(clamped_capacity(
-        cursor.n_events,
-        cursor.buf.remaining(),
-        wire::EVENT_FRAME,
-    ));
-    while let Some(mut payload) = cursor.next_frame()? {
-        let ev = get(&mut payload)?;
-        finish_payload(&mut payload)?;
-        out.push(ev);
-    }
-    Ok(out)
 }
 
 /// An incremental DPEF decoder: yields events one at a time from a
@@ -858,7 +802,6 @@ fn decode_file<T>(
 pub struct EventReader<T: Encodable> {
     cursor: FrameCursor,
     scratch: T,
-    meter: Option<(daspos_obs::Gauge, daspos_obs::Gauge)>,
 }
 
 impl<T: Encodable> EventReader<T> {
@@ -868,31 +811,7 @@ impl<T: Encodable> EventReader<T> {
         Ok(EventReader {
             cursor: FrameCursor::new(data, T::TIER)?,
             scratch: T::scratch(),
-            meter: None,
         })
-    }
-
-    /// Record decode traffic into `registry`: each decoded frame adds to
-    /// the `codec.events_decoded` / `codec.bytes_decoded` gauges. Gauges,
-    /// not counters — which codec path runs (streaming vs batch) depends
-    /// on the execution engine, so these are measurements, not part of
-    /// the deterministic trace.
-    pub fn with_metrics(mut self, registry: &daspos_obs::MetricsRegistry) -> Self {
-        self.meter = Some((
-            registry.gauge("codec.events_decoded"),
-            registry.gauge("codec.bytes_decoded"),
-        ));
-        self
-    }
-
-    /// Event count declared in the file header.
-    pub fn n_events(&self) -> u32 {
-        self.cursor.n_events
-    }
-
-    /// Events decoded so far.
-    pub fn events_decoded(&self) -> u32 {
-        self.cursor.seen
     }
 
     /// Decode the next event into the internal scratch buffers and
@@ -911,42 +830,26 @@ impl<T: Encodable> EventReader<T> {
         match self.cursor.next_frame()? {
             None => Ok(None),
             Some(mut payload) => {
-                let frame_bytes = payload.remaining();
                 T::get_into(&mut payload, &mut self.scratch)?;
                 finish_payload(&mut payload)?;
-                if let Some((events, bytes)) = &self.meter {
-                    events.add(1);
-                    bytes.add(frame_bytes as i64);
-                }
                 Ok(Some(&mut self.scratch))
             }
         }
     }
 }
 
-/// An incremental DPEF encoder: frames events one at a time while
-/// reusing a single payload scratch buffer, then stamps the file header
-/// with the final count. Byte-identical to [`Encodable::encode_events`]
-/// over the same event sequence — the single-pass skim uses it to write
-/// survivors without first materializing them in a vector.
+/// An incremental DPEF encoder: frames events one at a time straight
+/// into its body buffer, then stamps the file header with the final
+/// count. Byte-identical to [`Encodable::encode_events`] over the same
+/// event sequence — the streaming skim uses it to write survivors without
+/// first materializing them in a vector.
 pub struct EventWriter<T: Encodable> {
     body: BytesMut,
     n_events: usize,
-    meter: Option<(daspos_obs::Gauge, daspos_obs::Gauge)>,
     _marker: std::marker::PhantomData<T>,
 }
 
 impl<T: Encodable> EventWriter<T> {
-    /// An empty writer.
-    pub fn new() -> EventWriter<T> {
-        EventWriter {
-            body: BytesMut::new(),
-            n_events: 0,
-            meter: None,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
     /// An empty writer whose body buffer is pre-sized for `bytes` of
     /// framed payload. Writers on a skim hot path pass the input file
     /// size (the output can never exceed it), trading one allocation
@@ -955,56 +858,24 @@ impl<T: Encodable> EventWriter<T> {
     pub fn with_capacity(bytes: usize) -> EventWriter<T> {
         EventWriter {
             body: BytesMut::with_capacity(bytes),
-            ..EventWriter::new()
+            n_events: 0,
+            _marker: std::marker::PhantomData,
         }
-    }
-
-    /// Record encode traffic into `registry`'s `codec.events_encoded` /
-    /// `codec.bytes_encoded` gauges (framed bytes, excluding the file
-    /// header). See [`EventReader::with_metrics`] for why these are
-    /// gauges rather than counters.
-    pub fn with_metrics(mut self, registry: &daspos_obs::MetricsRegistry) -> Self {
-        self.meter = Some((
-            registry.gauge("codec.events_encoded"),
-            registry.gauge("codec.bytes_encoded"),
-        ));
-        self
     }
 
     /// Frame one event.
     pub fn push(&mut self, ev: &T) {
-        let before = self.body.len();
         put_frame(&mut self.body, ev);
         self.n_events += 1;
-        if let Some((events, bytes)) = &self.meter {
-            events.add(1);
-            bytes.add((self.body.len() - before) as i64);
-        }
-    }
-
-    /// Events framed so far.
-    pub fn len(&self) -> usize {
-        self.n_events
-    }
-
-    /// True when no event has been framed yet.
-    pub fn is_empty(&self) -> bool {
-        self.n_events == 0
     }
 
     /// Assemble the DPEF file: header (with the final event count) then
     /// the framed body.
     pub fn finish(self) -> Bytes {
         let mut buf = BytesMut::with_capacity(16 + self.body.len());
-        put_file_header(&mut buf, T::TIER, FORMAT_VERSION, self.n_events);
+        put_file_header(&mut buf, T::TIER, self.n_events);
         buf.put_slice(&self.body);
         buf.freeze()
-    }
-}
-
-impl<T: Encodable> Default for EventWriter<T> {
-    fn default() -> Self {
-        EventWriter::new()
     }
 }
 
@@ -1014,9 +885,8 @@ pub trait Encodable: Sized {
     const TIER: DataTier;
     /// Serialize one event.
     fn put(buf: &mut BytesMut, ev: &Self);
-    /// Deserialize one event.
-    fn get(b: &mut Bytes) -> Result<Self, CodecError>;
-    /// A blank event whose collections the streaming decoder reuses.
+    /// A blank event: the streaming decoder's reused scratch, and the
+    /// fresh event the batch decoder fills per frame.
     fn scratch() -> Self;
     /// Deserialize one event into `out`, clearing and refilling its
     /// collections while keeping their allocated capacity. On error the
@@ -1031,7 +901,12 @@ pub trait Encodable: Sized {
 
     /// Encode a file of events at the current format version.
     fn encode_events(events: &[Self]) -> Bytes {
-        encode_file_with_version(Self::TIER, events, FORMAT_VERSION)
+        let mut buf = BytesMut::with_capacity(FILE_HEADER_LEN + Self::frames_capacity(events));
+        put_file_header(&mut buf, Self::TIER, events.len());
+        for ev in events {
+            put_frame(&mut buf, ev);
+        }
+        buf.freeze()
     }
 
     /// Encode a file of events with payloads produced on up to `threads`
@@ -1044,9 +919,23 @@ pub trait Encodable: Sized {
         encode_file_parallel(events, threads)
     }
 
-    /// Decode a file of events.
+    /// Decode a file of events: each frame is decoded into a fresh
+    /// [`Encodable::scratch`] by the one per-type decoder,
+    /// [`Encodable::get_into`].
     fn decode_events(data: &Bytes) -> Result<Vec<Self>, CodecError> {
-        decode_file(data, Self::TIER, |b| Self::get(b))
+        let mut cursor = FrameCursor::new(data, Self::TIER)?;
+        let mut out = Vec::with_capacity(clamped_capacity(
+            cursor.n_events,
+            cursor.buf.remaining(),
+            wire::EVENT_FRAME,
+        ));
+        while let Some(mut payload) = cursor.next_frame()? {
+            let mut ev = Self::scratch();
+            Self::get_into(&mut payload, &mut ev)?;
+            finish_payload(&mut payload)?;
+            out.push(ev);
+        }
+        Ok(out)
     }
 }
 
@@ -1058,9 +947,6 @@ impl Encodable for RawEvent {
     /// Exact: RAW events are several times the default guess.
     fn frames_capacity(events: &[Self]) -> usize {
         events.iter().map(raw_frame_len).sum()
-    }
-    fn get(b: &mut Bytes) -> Result<Self, CodecError> {
-        get_raw(b)
     }
     fn scratch() -> Self {
         RawEvent::new(EventHeader::new(0, 0, 0))
@@ -1074,9 +960,6 @@ impl Encodable for RecoEvent {
     const TIER: DataTier = DataTier::Reco;
     fn put(buf: &mut BytesMut, ev: &Self) {
         put_reco(buf, ev);
-    }
-    fn get(b: &mut Bytes) -> Result<Self, CodecError> {
-        get_reco(b)
     }
     fn scratch() -> Self {
         RecoEvent {
@@ -1100,9 +983,6 @@ impl Encodable for AodEvent {
     /// above the length would be held for as long as the file lives.
     fn frames_capacity(events: &[Self]) -> usize {
         events.iter().map(aod_frame_len).sum()
-    }
-    fn get(b: &mut Bytes) -> Result<Self, CodecError> {
-        get_aod(b)
     }
     fn scratch() -> Self {
         AodEvent::new(EventHeader::new(0, 0, 0))
@@ -1282,8 +1162,9 @@ mod tests {
 
     #[test]
     fn future_version_rejected() {
-        let data = encode_file_with_version(DataTier::Aod, &[sample_aod()], 2);
-        match AodEvent::decode_events(&data).unwrap_err() {
+        let mut data = AodEvent::encode_events(&[sample_aod()]).to_vec();
+        data[4..6].copy_from_slice(&2u16.to_le_bytes());
+        match AodEvent::decode_events(&Bytes::from(data)).unwrap_err() {
             CodecError::UnsupportedVersion { found, supported } => {
                 assert_eq!(found, 2);
                 assert_eq!(supported, 1);
@@ -1457,13 +1338,11 @@ mod tests {
         let data = AodEvent::encode_events(&events);
         let batch = AodEvent::decode_events(&data).unwrap();
         let mut reader = EventReader::<AodEvent>::new(&data).unwrap();
-        assert_eq!(reader.n_events(), events.len() as u32);
         let mut streamed = Vec::new();
         while let Some(ev) = reader.next().unwrap() {
             streamed.push(ev.clone());
         }
         assert_eq!(streamed, batch);
-        assert_eq!(reader.events_decoded(), events.len() as u32);
         // Exhausted readers keep returning None.
         assert!(reader.next().unwrap().is_none());
     }
@@ -1496,16 +1375,14 @@ mod tests {
                 ev
             })
             .collect();
-        let mut writer = EventWriter::<AodEvent>::new();
-        assert!(writer.is_empty());
+        let mut writer = EventWriter::<AodEvent>::with_capacity(0);
         for ev in &events {
             writer.push(ev);
         }
-        assert_eq!(writer.len(), events.len());
         assert_eq!(writer.finish(), AodEvent::encode_events(&events));
         // Empty writer produces the canonical empty file too.
         assert_eq!(
-            EventWriter::<AodEvent>::new().finish(),
+            EventWriter::<AodEvent>::with_capacity(0).finish(),
             AodEvent::encode_events(&[])
         );
     }

@@ -1656,7 +1656,7 @@ fn count_mask(col: &ColumnReader, n_rows: usize, stride: usize, n: u32, pt: f64)
 /// decoded), slim-dropped collections become empty rows without their
 /// source column being touched at all, and the jet cap truncates by
 /// entry arithmetic. The surviving *events* are exactly those
-/// [`crate::skim::skim_slim_streaming`] keeps over the row encoding of
+/// [`crate::skim::skim_slim_streaming_with`] keeps over the row encoding of
 /// the same data; byte accounting in the report is per-format (file
 /// sizes), since the two layouts price the same events differently.
 ///
@@ -2508,7 +2508,7 @@ mod tests {
         }
         // Seeded sweep (splitmix64), each value shifted down by a random
         // amount so every encoded length 1..=10 is well covered.
-        let mut state = 0x5EED_0F_DA5905u64;
+        let mut state = 0x5EED_0FDA_5905u64;
         for _ in 0..20_000 {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
             let mut z = state;

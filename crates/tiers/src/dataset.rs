@@ -159,28 +159,12 @@ impl DatasetCatalog {
         inner.values().map(|d| d.meta.clone()).collect()
     }
 
-    /// Metadata of every dataset for one experiment.
-    pub fn list_experiment(&self, experiment: &str) -> Vec<DatasetMeta> {
-        self.inner
-            .read().unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .filter(|d| d.meta.experiment == experiment)
-            .map(|d| d.meta.clone())
-            .collect()
-    }
-
     /// Delete a dataset (e.g. a failed production). Returns its metadata.
     pub fn delete(&self, id: DatasetId) -> Result<DatasetMeta, CatalogError> {
         let mut inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
         let ds = inner.remove(&id).ok_or(CatalogError::UnknownDataset(id))?;
         self.by_name.write().unwrap_or_else(PoisonError::into_inner).remove(&ds.meta.name);
         Ok(ds.meta)
-    }
-
-    /// Total bytes under management.
-    pub fn total_bytes(&self) -> u64 {
-        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        inner.values().map(|d| d.meta.n_bytes).sum()
     }
 }
 
@@ -223,21 +207,6 @@ mod tests {
             cat.get(DatasetId(99)),
             Err(CatalogError::UnknownDataset(_))
         ));
-    }
-
-    #[test]
-    fn list_by_experiment() {
-        let cat = DatasetCatalog::new();
-        cat.register("a1", "atlas", DataTier::Raw, vec![file(10, 1)])
-            .unwrap();
-        cat.register("c1", "cms", DataTier::Raw, vec![file(10, 1)])
-            .unwrap();
-        cat.register("a2", "atlas", DataTier::Aod, vec![file(10, 1)])
-            .unwrap();
-        assert_eq!(cat.list_experiment("atlas").len(), 2);
-        assert_eq!(cat.list_experiment("cms").len(), 1);
-        assert_eq!(cat.list().len(), 3);
-        assert_eq!(cat.total_bytes(), 30);
     }
 
     #[test]

@@ -232,16 +232,6 @@ impl Ntuple {
         }
     }
 
-    /// Fill an ntuple from events.
-    pub fn fill(schema: NtupleSchema, events: &[AodEvent]) -> Ntuple {
-        let mut nt = Ntuple::empty(schema);
-        nt.rows.reserve(events.len() * nt.schema.width());
-        for ev in events {
-            nt.append(ev);
-        }
-        nt
-    }
-
     /// The schema.
     pub fn schema(&self) -> &NtupleSchema {
         &self.schema
@@ -308,6 +298,15 @@ mod tests {
         ev
     }
 
+    /// An ntuple of `events`, appended one at a time as the skims do.
+    fn fill(schema: NtupleSchema, events: &[AodEvent]) -> Ntuple {
+        let mut nt = Ntuple::empty(schema);
+        for ev in events {
+            nt.append(ev);
+        }
+        nt
+    }
+
     #[test]
     fn schema_text_round_trip() {
         let schema = NtupleSchema::new(vec![
@@ -337,7 +336,7 @@ mod tests {
             ColumnSpec::NTracks,
         ]);
         let events = vec![dimuon_event(40.0, 30.0), dimuon_event(25.0, 10.0)];
-        let nt = Ntuple::fill(schema, &events);
+        let nt = fill(schema, &events);
         assert_eq!(nt.n_rows(), 2);
         assert_eq!(nt.row(0), &[7.0, 40.0, 12.0]);
         assert_eq!(nt.row(1)[1], 25.0);
@@ -355,7 +354,7 @@ mod tests {
             ColumnSpec::CandMassKPi,
             ColumnSpec::JetPt(5),
         ]);
-        let nt = Ntuple::fill(schema, &[dimuon_event(40.0, 30.0)]);
+        let nt = fill(schema, &[dimuon_event(40.0, 30.0)]);
         for v in nt.row(0) {
             assert!(v.is_nan(), "expected NaN, got {v}");
         }
@@ -364,33 +363,17 @@ mod tests {
     #[test]
     fn dilepton_mass_back_to_back() {
         let schema = NtupleSchema::new(vec![ColumnSpec::DileptonMass]);
-        let nt = Ntuple::fill(schema, &[dimuon_event(45.0, 45.0)]);
+        let nt = fill(schema, &[dimuon_event(45.0, 45.0)]);
         // Two 45 GeV muons nearly back to back: mass near 90.
         let m = nt.row(0)[0];
         assert!(m > 85.0 && m < 95.0, "m_ll = {m}");
     }
 
     #[test]
-    fn incremental_append_matches_batch_fill() {
-        let schema = NtupleSchema::new(vec![
-            ColumnSpec::Met,
-            ColumnSpec::LeptonPt(0),
-            ColumnSpec::NTracks,
-        ]);
-        let events = vec![dimuon_event(40.0, 30.0), dimuon_event(25.0, 10.0)];
-        let batch = Ntuple::fill(schema.clone(), &events);
-        let mut incremental = Ntuple::empty(schema);
-        for ev in &events {
-            incremental.append(ev);
-        }
-        assert_eq!(incremental, batch);
-    }
-
-    #[test]
     fn ntuple_is_smaller_than_aod() {
         let schema = NtupleSchema::new(vec![ColumnSpec::Met, ColumnSpec::DileptonMass]);
         let events = vec![dimuon_event(40.0, 30.0); 10];
-        let nt = Ntuple::fill(schema, &events);
+        let nt = fill(schema, &events);
         let aod_bytes: usize = events.iter().map(AodEvent::byte_size).sum();
         assert!(nt.byte_size() < aod_bytes);
     }

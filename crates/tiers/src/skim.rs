@@ -13,7 +13,6 @@
 //! P1 ablation quantifies.
 
 use bytes::Bytes;
-use daspos_hep::par;
 use daspos_reco::objects::AodEvent;
 use std::fmt;
 
@@ -479,92 +478,28 @@ pub fn skim_slim(
     (out, report)
 }
 
-/// Chunked variant of [`skim_slim`]: contiguous event chunks are skimmed
-/// on up to `threads` worker threads and merged in event order. Selection
-/// and slimming are per-event pure functions and the report fields are
-/// plain sums, so the surviving events and the report are identical to
-/// the sequential pass.
-pub fn skim_slim_chunked(
-    events: &[AodEvent],
-    selection: &Selection,
-    slim: &SlimSpec,
-    threads: usize,
-) -> (Vec<AodEvent>, SkimReport) {
-    // Below this size thread spawn overhead dominates; stay sequential.
-    const MIN_PARALLEL_EVENTS: usize = 64;
-    if threads <= 1 || events.len() < MIN_PARALLEL_EVENTS {
-        return skim_slim(events, selection, slim);
-    }
-    let chunk_len = events.len().div_ceil(threads);
-    let parts = par::map_chunks(events.len(), chunk_len, threads, |_, range| {
-        skim_slim(&events[range], selection, slim)
-    });
-    let mut out = Vec::with_capacity(parts.iter().map(|(v, _)| v.len()).sum());
-    let mut report = SkimReport {
-        events_in: 0,
-        events_out: 0,
-        bytes_in: 0,
-        bytes_out: 0,
-    };
-    for (events_part, part_report) in parts {
-        out.extend(events_part);
-        report.events_in += part_report.events_in;
-        report.events_out += part_report.events_out;
-        report.bytes_in += part_report.bytes_in;
-        report.bytes_out += part_report.bytes_out;
-    }
-    (out, report)
-}
-
 /// Single-pass streaming skim+slim straight off a DPEF AOD file: events
-/// are decoded one at a time into a reused scratch buffer
-/// ([`EventReader`]), filtered, slimmed **in place**, and re-framed
-/// through a reused payload buffer ([`EventWriter`]) — the intermediate
-/// `Vec<AodEvent>` of the batch path never exists and the hot loop
-/// performs no per-event allocation after warm-up.
+/// are decoded one at a time into a reused scratch event
+/// ([`EventReader`]), filtered, slimmed **in place**, handed to
+/// `on_survivor` (the workflow fills the analysis ntuple there) and
+/// framed by an [`EventWriter`] — the intermediate `Vec<AodEvent>` of the
+/// batch path never exists and the hot loop performs no per-event
+/// allocation after warm-up.
 ///
 /// The output file and report are byte-for-byte and field-for-field
 /// identical to decoding the file, running [`skim_slim`], and encoding
 /// the survivors. Decode errors surface exactly as
-/// [`Encodable::decode_events`] reports them.
-pub fn skim_slim_streaming(
-    aod_file: &Bytes,
-    selection: &Selection,
-    slim: &SlimSpec,
-) -> Result<(Bytes, SkimReport), CodecError> {
-    skim_slim_streaming_with(aod_file, selection, slim, |_| {})
-}
-
-/// [`skim_slim_streaming`] with a per-survivor callback, invoked on each
-/// slimmed event before it is framed — the workflow uses it to fill the
-/// analysis ntuple in the same pass.
+/// [`Encodable::decode_events`](crate::codec::Encodable::decode_events)
+/// reports them.
 pub fn skim_slim_streaming_with(
     aod_file: &Bytes,
     selection: &Selection,
     slim: &SlimSpec,
-    on_survivor: impl FnMut(&AodEvent),
-) -> Result<(Bytes, SkimReport), CodecError> {
-    skim_slim_streaming_observed(aod_file, selection, slim, None, on_survivor)
-}
-
-/// [`skim_slim_streaming_with`] with optional codec metering: when a
-/// registry is supplied, the underlying [`EventReader`]/[`EventWriter`]
-/// record their frame traffic into the `codec.*` gauges. The skim result
-/// is byte-identical either way.
-pub fn skim_slim_streaming_observed(
-    aod_file: &Bytes,
-    selection: &Selection,
-    slim: &SlimSpec,
-    registry: Option<&daspos_obs::MetricsRegistry>,
     mut on_survivor: impl FnMut(&AodEvent),
 ) -> Result<(Bytes, SkimReport), CodecError> {
     let mut reader = EventReader::<AodEvent>::new(aod_file)?;
     // Slimming only drops bytes, so the input size bounds the output.
     let mut writer = EventWriter::<AodEvent>::with_capacity(aod_file.len());
-    if let Some(registry) = registry {
-        reader = reader.with_metrics(registry);
-        writer = writer.with_metrics(registry);
-    }
     let mut report = SkimReport {
         events_in: 0,
         events_out: 0,
@@ -765,26 +700,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_skim_matches_sequential() {
-        let events: Vec<AodEvent> = (0..250)
-            .map(|i| event_with(i % 4, (i % 7) as f64 * 12.0, i % 3))
-            .collect();
-        let sel = Selection::NLeptons { n: 1, pt: 5.0 }.or(Selection::MetAbove(30.0));
-        let slim = SlimSpec::leptons_only();
-        let (seq_out, seq_report) = skim_slim(&events, &sel, &slim);
-        for threads in [1, 2, 4, 8] {
-            let (out, report) = skim_slim_chunked(&events, &sel, &slim, threads);
-            assert_eq!(out, seq_out, "threads={threads}");
-            assert_eq!(report, seq_report, "threads={threads}");
-        }
-        // Small inputs take the sequential fallback and still agree.
-        let (out, report) = skim_slim_chunked(&events[..10], &sel, &slim, 4);
-        let (small_seq, small_report) = skim_slim(&events[..10], &sel, &slim);
-        assert_eq!(out, small_seq);
-        assert_eq!(report, small_report);
-    }
-
-    #[test]
     fn empty_input_report() {
         let (out, report) = skim_slim(&[], &Selection::All, &SlimSpec::keep_all());
         assert!(out.is_empty());
@@ -807,7 +722,7 @@ mod tests {
             let (batch_out, batch_report) = skim_slim(&events, &sel, &slim);
             let batch_file = AodEvent::encode_events(&batch_out);
             let (stream_file, stream_report) =
-                skim_slim_streaming(&file, &sel, &slim).unwrap();
+                skim_slim_streaming_with(&file, &sel, &slim, |_| {}).unwrap();
             assert_eq!(stream_file, batch_file, "slim {}", slim.to_text());
             assert_eq!(stream_report, batch_report, "slim {}", slim.to_text());
         }
@@ -833,12 +748,9 @@ mod tests {
         let file = AodEvent::encode_events(&events);
         let truncated = file.slice(0..file.len() - 2);
         let batch_err = AodEvent::decode_events(&truncated).unwrap_err();
-        let stream_err = skim_slim_streaming(
-            &truncated,
-            &Selection::All,
-            &SlimSpec::keep_all(),
-        )
-        .unwrap_err();
+        let stream_err =
+            skim_slim_streaming_with(&truncated, &Selection::All, &SlimSpec::keep_all(), |_| {})
+                .unwrap_err();
         assert_eq!(stream_err, batch_err);
     }
 }

@@ -52,18 +52,6 @@ impl DataTier {
         }
     }
 
-    /// The DPHEP data level this tier maps to. Level 2 is *"actual data
-    /// and simulation presented in higher-level simplified formats"* (§2);
-    /// Levels 3/4 are the analysis-grade and raw tiers.
-    pub fn dphep_level(&self) -> u8 {
-        match self {
-            DataTier::Ntuple => 2,
-            DataTier::Aod => 3,
-            DataTier::Reco => 3,
-            DataTier::Raw => 4,
-        }
-    }
-
     /// The tier a processing step starting from this tier produces.
     pub fn next(&self) -> Option<DataTier> {
         match self {
@@ -104,12 +92,5 @@ mod tests {
             steps += 1;
         }
         assert_eq!(steps, 3);
-    }
-
-    #[test]
-    fn dphep_levels_decrease_along_chain() {
-        assert_eq!(DataTier::Raw.dphep_level(), 4);
-        assert_eq!(DataTier::Aod.dphep_level(), 3);
-        assert_eq!(DataTier::Ntuple.dphep_level(), 2);
     }
 }

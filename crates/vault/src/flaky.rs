@@ -48,15 +48,6 @@ impl FlakyConfig {
             corrupt_rate: 0.0,
         }
     }
-
-    /// Read corruption only (the checksum-fallback workout).
-    pub fn corrupting(seed: u64, rate: f64) -> FlakyConfig {
-        FlakyConfig {
-            seed,
-            transient_rate: 0.0,
-            corrupt_rate: rate,
-        }
-    }
 }
 
 /// A [`StorageBackend`] wrapper that injects seed-scheduled faults.
@@ -74,11 +65,6 @@ impl FlakyBackend {
             config,
             ops: AtomicU64::new(0),
         }
-    }
-
-    /// Operations attempted so far (including failed ones).
-    pub fn operations(&self) -> u64 {
-        self.ops.load(Ordering::Relaxed)
     }
 
     /// Draw in [0, 1) for fault channel `channel` of the next operation.
@@ -173,7 +159,12 @@ mod tests {
         let inner = Arc::new(MemoryBackend::new());
         let data = Bytes::from_static(b"pristine payload");
         inner.put("k", &data).unwrap();
-        let flaky = FlakyBackend::new(inner.clone(), FlakyConfig::corrupting(3, 1.0));
+        let config = FlakyConfig {
+            seed: 3,
+            transient_rate: 0.0,
+            corrupt_rate: 1.0,
+        };
+        let flaky = FlakyBackend::new(inner.clone(), config);
         let corrupt = flaky.get("k").unwrap();
         assert_ne!(corrupt, data, "rate 1.0 must corrupt the returned copy");
         assert_eq!(inner.get("k").unwrap(), data, "the stored object is untouched");

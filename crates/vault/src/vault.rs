@@ -168,14 +168,6 @@ impl Redundancy {
             Redundancy::Erasure { m, .. } => *m,
         }
     }
-
-    /// Bytes stored per object byte (ignoring envelope overhead).
-    pub fn storage_factor(&self) -> f64 {
-        match self {
-            Redundancy::Replicas(n) => *n as f64,
-            Redundancy::Erasure { k, m } => (k + m) as f64 / *k as f64,
-        }
-    }
 }
 
 impl fmt::Display for Redundancy {
@@ -758,14 +750,6 @@ impl Vault {
             None => Ok(()),
             Some(e) => Err(VaultError::from(e)),
         }
-    }
-
-    /// [`put`](Vault::put) with the kind sniffed from the payload's
-    /// leading magic.
-    pub fn put_detected(&self, key: &str, payload: &Bytes) -> Result<ObjectKind, VaultError> {
-        let kind = ObjectKind::sniff(payload);
-        self.put(key, kind, payload)?;
-        Ok(kind)
     }
 
     /// Remove `key` from every backend. Idempotent: deleting an absent

@@ -140,9 +140,9 @@ proptest! {
         // the mask.
         let (total, m) = (backends.len(), redundancy.tolerates());
         let mut erased = 0usize;
-        for i in 0..total {
+        for (i, backend) in backends.iter().enumerate() {
             if erased < m && (erase_mask >> i) & 1 == 1 {
-                backends[i].delete("obj").unwrap();
+                backend.delete("obj").unwrap();
                 erased += 1;
             }
         }

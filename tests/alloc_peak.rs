@@ -41,8 +41,9 @@ fn columnar_skim_peak_heap_stays_under_1_15x_the_streaming_row_skim() {
     let columnar_file = ColumnarFile::from_rows(&output.aod_events);
 
     let streaming = peak_of(|| {
-        let (file, report) = skim::skim_slim_streaming(&row_file, &workflow.skim, &workflow.slim)
-            .expect("row file skims");
+        let (file, report) =
+            skim::skim_slim_streaming_with(&row_file, &workflow.skim, &workflow.slim, |_| {})
+                .expect("row file skims");
         assert!(report.events_out > 0 && !file.is_empty());
     });
     let columnar = peak_of(|| {

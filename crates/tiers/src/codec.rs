@@ -839,25 +839,29 @@ impl<T: Encodable> EventReader<T> {
 }
 
 /// An incremental DPEF encoder: frames events one at a time straight
-/// into its body buffer, then stamps the file header with the final
-/// count. Byte-identical to [`Encodable::encode_events`] over the same
-/// event sequence — the streaming skim uses it to write survivors without
-/// first materializing them in a vector.
+/// into the file buffer, behind space reserved for the file header,
+/// then stamps the header with the final count in place. Byte-identical
+/// to [`Encodable::encode_events`] over the same event sequence — the
+/// streaming skim uses it to write survivors without first
+/// materializing them in a vector, and without copying the file at the
+/// end.
 pub struct EventWriter<T: Encodable> {
-    body: BytesMut,
+    file: BytesMut,
     n_events: usize,
     _marker: std::marker::PhantomData<T>,
 }
 
 impl<T: Encodable> EventWriter<T> {
-    /// An empty writer whose body buffer is pre-sized for `bytes` of
-    /// framed payload. Writers on a skim hot path pass the input file
-    /// size (the output can never exceed it), trading one allocation
-    /// for the ~20 doubling reallocs a multi-MB body would otherwise
-    /// copy through.
+    /// An empty writer whose buffer is pre-sized for `bytes` of framed
+    /// payload behind the header. Writers on a skim hot path pass the
+    /// input file size (the output can never exceed it), trading one
+    /// allocation for the ~20 doubling reallocs a multi-MB body would
+    /// otherwise copy through.
     pub fn with_capacity(bytes: usize) -> EventWriter<T> {
+        let mut file = BytesMut::with_capacity(FILE_HEADER_LEN + bytes);
+        file.put_slice(&[0; FILE_HEADER_LEN]);
         EventWriter {
-            body: BytesMut::with_capacity(bytes),
+            file,
             n_events: 0,
             _marker: std::marker::PhantomData,
         }
@@ -865,17 +869,17 @@ impl<T: Encodable> EventWriter<T> {
 
     /// Frame one event.
     pub fn push(&mut self, ev: &T) {
-        put_frame(&mut self.body, ev);
+        put_frame(&mut self.file, ev);
         self.n_events += 1;
     }
 
-    /// Assemble the DPEF file: header (with the final event count) then
-    /// the framed body.
-    pub fn finish(self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16 + self.body.len());
-        put_file_header(&mut buf, T::TIER, self.n_events);
-        buf.put_slice(&self.body);
-        buf.freeze()
+    /// Finish the DPEF file: the header, with the final event count, is
+    /// written into the space reserved ahead of the frames.
+    pub fn finish(mut self) -> Bytes {
+        let mut header = BytesMut::with_capacity(FILE_HEADER_LEN);
+        put_file_header(&mut header, T::TIER, self.n_events);
+        self.file[..FILE_HEADER_LEN].copy_from_slice(&header);
+        self.file.freeze()
     }
 }
 

@@ -46,12 +46,19 @@
 //! kinematic cut reads) and an *id* column (the identification payload
 //! cuts almost never read).
 //!
-//! Readers hold every column in the writer's shape, whatever its frame:
-//! fixed records back to back, or a variable column's entries back to
-//! back with per-row entry offsets built from its counts. Consecutive
-//! rows are therefore contiguous bytes in every column, so the skim
-//! copies each run of survivors with one `memcpy` per column and hands
-//! the (counts, entries) pair straight back to the writer.
+//! Every read walks each column frame once, with one walker
+//! ([`walk_rows`], then [`RecordWalk::walk`]) that checks the frame's
+//! structure and hands the records it decodes on: all of them to an
+//! opened reader's buffer, none at all for the verify, and the
+//! survivors' to the skim, which also codes them onto its output frame.
+//! Readers hold every
+//! column in the writer's shape, whatever its frame: fixed records back
+//! to back, or a variable column's entries back to back with per-row
+//! entry offsets built from its counts, so consecutive rows are
+//! contiguous bytes and the skim copies each run of survivors of a fat
+//! column with one `memcpy`.
+
+use std::ops::Range;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use daspos_hep::digest::{FNV64_OFFSET, FNV64_PRIME};
@@ -458,16 +465,15 @@ impl ColumnarFile {
         self.n_rows
     }
 
-    /// Open one column. `verify` checks the table digest over the stored
-    /// frame before the structural walk — the archival read path; the hot
-    /// skim path skips it, exactly as row-format DPEF payloads are
-    /// trusted between archive seals. Every frame comes back in the one
-    /// [`ColumnReader`] layout, so callers never see the encoding.
-    fn open(&self, id: ColumnId, verify: bool) -> Result<ColumnReader, CodecError> {
+    /// The stored frame of `id`. `verify` checks the table digest over
+    /// it first — the archival read path; the hot skim path skips it,
+    /// exactly as row-format DPEF payloads are trusted between archive
+    /// seals.
+    fn frame(&self, id: ColumnId, verify: bool) -> Result<&[u8], CodecError> {
         let meta = self.cols[id as usize];
-        let frame = self.data.slice(meta.offset..meta.offset + meta.len);
+        let frame = &self.data[meta.offset..meta.offset + meta.len];
         if verify {
-            let actual = fnv64_wide(&frame);
+            let actual = fnv64_wide(frame);
             if actual != meta.digest {
                 return Err(CodecError::SealMismatch {
                     stored: meta.digest,
@@ -475,32 +481,58 @@ impl ColumnarFile {
                 });
             }
         }
-        let layout = id.layout();
-        if self.version == COLUMNAR_VERSION_V1 {
-            return reader_from_raw(id, layout, frame, self.n_rows);
-        }
-        match frame[0] {
-            TAG_RAW => reader_from_raw(id, layout, frame.slice(1..), self.n_rows),
-            tag => decode_frame(id, layout, tag, &frame, self.n_rows),
-        }
+        Ok(frame)
     }
 
-    /// Open every column verified and cross-check the paired p4/id counts
-    /// — the full-integrity read the verifier and faultlab lean on.
-    fn open_checked(&self) -> Result<[ColumnReader; N_COLUMNS], CodecError> {
-        let mut readers: [Option<ColumnReader>; N_COLUMNS] = Default::default();
-        for id in ColumnId::ALL {
-            readers[id as usize] = Some(self.open(id, true)?);
-        }
-        let readers = readers.map(|r| r.expect("all columns opened"));
-        cross_check_counts(&readers, self.n_rows)?;
-        Ok(readers)
+    /// Open one column ([`ColumnarFile::frame`] says what `verify`
+    /// adds): the walk's records land in the reader's own buffer, or the
+    /// reader windows the verbatim entries of a fat column in place.
+    /// Every frame comes back in the one [`ColumnReader`] layout, so
+    /// callers never see the encoding.
+    fn open(&self, id: ColumnId, verify: bool) -> Result<ColumnReader, CodecError> {
+        let frame = self.frame(id, verify)?;
+        let mut starts = Vec::new();
+        let payload = match walk_rows(id, self.version, frame, self.n_rows, &mut starts)? {
+            Body::Verbatim(entries) => {
+                let at = self.cols[id as usize].offset;
+                self.data.slice(at + entries.start..at + entries.end)
+            }
+            Body::Records(records) => {
+                let (all, mut out) = ([(0, records.n_records)], Vec::new());
+                records.walk(&starts, &all, &mut out, None)?;
+                Bytes::from(out)
+            }
+        };
+        Ok(ColumnReader {
+            layout: id.layout(),
+            payload,
+            starts,
+        })
     }
 
     /// Fully verify the file: every column digest, every structural walk,
-    /// every cross-column count invariant.
+    /// every cross-column count invariant. The walk builds nothing: its
+    /// records go nowhere, and only a p4 column's row offsets are kept,
+    /// until its id column has been walked and compared with them. A
+    /// count mismatch is reported only once every column has passed, as
+    /// the check over all ten opened columns reported it.
     pub fn verify(&self) -> Result<(), CodecError> {
-        self.open_checked().map(|_| ())
+        let (mut starts, mut p4_starts) = (Vec::new(), Vec::new());
+        let mut mismatch = Ok(());
+        for id in ColumnId::ALL {
+            let frame = self.frame(id, true)?;
+            if let Body::Records(records) =
+                walk_rows(id, self.version, frame, self.n_rows, &mut starts)?
+            {
+                records.walk(&starts, &[], &mut Vec::new(), None)?;
+            }
+            if PAIRS.iter().any(|&(p4, _)| p4 == id) {
+                std::mem::swap(&mut starts, &mut p4_starts);
+            } else if let Some(&(p4, _)) = PAIRS.iter().find(|&&(_, i)| i == id) {
+                mismatch = mismatch.and_then(|()| check_pair(p4, id, &p4_starts, &starts));
+            }
+        }
+        mismatch
     }
 
     /// Decode every row back into AOD events — the verifying, archival
@@ -509,7 +541,14 @@ impl ColumnarFile {
     /// file the events came from, and `from_rows(&file.to_rows()?)`
     /// reproduces this file.
     pub fn to_rows(&self) -> Result<Vec<AodEvent>, CodecError> {
-        let r = self.open_checked()?;
+        let mut readers: [Option<ColumnReader>; N_COLUMNS] = Default::default();
+        for id in ColumnId::ALL {
+            readers[id as usize] = Some(self.open(id, true)?);
+        }
+        let r = readers.map(|r| r.expect("all columns opened"));
+        for (p4, id) in PAIRS {
+            check_pair(p4, id, &r[p4 as usize].starts, &r[id as usize].starts)?;
+        }
         let keep_all = SlimSpec::keep_all();
         Ok((0..self.n_rows)
             .map(|row| {
@@ -534,13 +573,16 @@ impl ColumnarFile {
     /// Kept for backward-compat coverage and the v1-vs-v2 size
     /// comparison; new files come from [`ColumnarFile::from_rows`].
     pub fn from_rows_v1(events: &[AodEvent]) -> Bytes {
-        let cols = ColumnId::ALL.map(|id| {
+        let n_rows = row_count(events);
+        let size: usize = ColumnId::ALL.iter().map(|&id| raw_len(id, events)).sum();
+        let mut buf = BytesMut::with_capacity(FRAMES_BASE + size);
+        buf.put_slice(&[0; FRAMES_BASE]);
+        let lens = ColumnId::ALL.map(|id| {
             let (counts, entries) = build_column(id, events);
-            let mut raw = BytesMut::with_capacity(4 * counts.len() + entries.len());
-            put_raw(&mut raw, id, &counts, &entries);
-            raw
+            put_raw(&mut buf, id, &counts, &entries);
+            4 * counts.len() + entries.len()
         });
-        assemble_file(COLUMNAR_VERSION_V1, row_count(events), &cols)
+        seal_file(buf, COLUMNAR_VERSION_V1, n_rows, &lens)
     }
 }
 
@@ -562,35 +604,31 @@ fn put_p4(buf: &mut BytesMut, v: &FourVector) {
     buf.put_f64_le(v.e);
 }
 
-/// Stamp the header, table (with digests over the stored frames) and
-/// frames into one buffer.
-fn assemble_file(version: u16, n_rows: u32, cols: &[BytesMut; N_COLUMNS]) -> Bytes {
-    let total: usize = cols.iter().map(|c| c.len()).sum();
-    let mut buf = BytesMut::with_capacity(FRAMES_BASE + total);
-    buf.put_slice(COLUMNAR_MAGIC);
-    buf.put_u16_le(version);
-    buf.put_u8(DataTier::Aod.code());
-    buf.put_u32_le(n_rows);
-    buf.put_u8(N_COLUMNS as u8);
-    let mut off = 0u32;
-    for (i, c) in cols.iter().enumerate() {
-        let len = u32::try_from(c.len()).unwrap_or_else(|_| {
-            panic!(
-                "column {i} of {} bytes exceeds the u32 length field",
-                c.len()
-            )
-        });
-        buf.put_u8(i as u8);
-        buf.put_u32_le(off);
-        buf.put_u32_le(len);
-        buf.put_u64_le(fnv64_wide(c));
+/// Finish a file written in place: `buf` holds [`FRAMES_BASE`] reserved
+/// bytes, then the ten frames back to back with the given lengths. The
+/// header and the table (with digests over the stored frames) are
+/// stamped into the reserved bytes, so no frame is ever copied.
+fn seal_file(mut buf: BytesMut, version: u16, n_rows: u32, lens: &[usize; N_COLUMNS]) -> Bytes {
+    let mut head = Vec::with_capacity(FRAMES_BASE);
+    head.put_slice(COLUMNAR_MAGIC);
+    head.put_u16_le(version);
+    head.put_u8(DataTier::Aod.code());
+    head.put_u32_le(n_rows);
+    head.put_u8(N_COLUMNS as u8);
+    let (mut at, mut off) = (FRAMES_BASE, 0u32);
+    for (i, &len) in lens.iter().enumerate() {
+        let len32 = u32::try_from(len)
+            .unwrap_or_else(|_| panic!("column {i} of {len} bytes exceeds the u32 length field"));
+        head.put_u8(i as u8);
+        head.put_u32_le(off);
+        head.put_u32_le(len32);
+        head.put_u64_le(fnv64_wide(&buf[at..at + len]));
+        at += len;
         off = off
-            .checked_add(len)
+            .checked_add(len32)
             .expect("columnar frames exceed the u32 offset field");
     }
-    for c in cols {
-        buf.put_slice(c);
-    }
+    buf[..FRAMES_BASE].copy_from_slice(&head);
     buf.freeze()
 }
 
@@ -615,6 +653,18 @@ const MAX_PLAN_FIELDS: usize = 3;
 /// Longest LEB128 encoding of a `u64`.
 const MAX_VARINT_LEN: usize = 10;
 
+/// Bytes a delta frame may run past its raw size before the writer
+/// notices and falls back to raw: one record's varints, plus the 8-byte
+/// store [`put_varint`] makes before cutting back.
+const FRAME_SLACK: usize = MAX_PLAN_FIELDS * MAX_VARINT_LEN + 8;
+
+// The field plans of the thin columns, one per column.
+const HEADER_PLAN: [FieldKind; 3] = [FieldKind::U32, FieldKind::U32, FieldKind::U64];
+const SCALARS_PLAN: [FieldKind; 3] = [FieldKind::F64, FieldKind::F64, FieldKind::U32];
+const E_ID_PLAN: [FieldKind; 3] = [FieldKind::Byte, FieldKind::F64, FieldKind::F64];
+const MU_ID_PLAN: [FieldKind; 3] = [FieldKind::Byte, FieldKind::Byte, FieldKind::F64];
+const JET_ID_PLAN: [FieldKind; 2] = [FieldKind::U32, FieldKind::F64];
+
 /// Per-record field plan for the delta encoding, `None` for the fat
 /// four-momentum-bearing columns whose float payloads rarely delta well:
 /// there v2 stores the entries verbatim and compresses only the counts
@@ -622,13 +672,12 @@ const MAX_VARINT_LEN: usize = 10;
 /// varint or a run). The plan is a static function of the column, so
 /// the decoder needs no side channel.
 fn delta_plan(id: ColumnId) -> Option<&'static [FieldKind]> {
-    use FieldKind::{Byte, F64, U32, U64};
     Some(match id {
-        ColumnId::Header => &[U32, U32, U64],
-        ColumnId::Scalars => &[F64, F64, U32],
-        ColumnId::ElectronId => &[Byte, F64, F64],
-        ColumnId::MuonId => &[Byte, Byte, F64],
-        ColumnId::JetId => &[U32, F64],
+        ColumnId::Header => &HEADER_PLAN,
+        ColumnId::Scalars => &SCALARS_PLAN,
+        ColumnId::ElectronId => &E_ID_PLAN,
+        ColumnId::MuonId => &MU_ID_PLAN,
+        ColumnId::JetId => &JET_ID_PLAN,
         ColumnId::ElectronP4
         | ColumnId::MuonP4
         | ColumnId::Photon
@@ -680,33 +729,58 @@ fn varint_len(v: u64) -> usize {
 
 /// Bounds-checked varint read; rejects encodings past 10 bytes or
 /// overflowing 64 bits, so a corrupt stream cannot spin or wrap. When
-/// at least a maximal varint's worth of bytes remains, the read runs
-/// in a fixed-trip loop the optimizer can unroll, with the slice
-/// bound hoisted out — XOR'd doubles routinely encode to 9–10 bytes,
-/// so this path carries most of the delta decode.
+/// at least a maximal varint's worth of bytes remains, the read is one
+/// 8-byte load: the first byte without a continuation bit ends the
+/// varint, and its 7-bit groups are packed by shifts and masks
+/// ([`pack_groups`], the inverse of [`put_varint`]'s spread) — no loop
+/// over the bytes. XOR'd doubles routinely encode to 8–10 bytes, so this
+/// path carries most of the delta decode.
+#[inline]
 fn get_varint(b: &[u8], off: &mut usize) -> Result<u64, CodecError> {
-    let Some(s) = b.get(*off..) else {
+    let Some(s) = b.get(*off..*off + MAX_VARINT_LEN) else {
         return get_varint_slow(b, off);
     };
-    if s.len() < 10 {
-        return get_varint_slow(b, off);
+    let word = u64::from_le_bytes(s[..8].try_into().expect("8 bytes"));
+    if word & 0x80 == 0 {
+        *off += 1;
+        return Ok(word & 0x7f);
     }
-    let mut v = 0u64;
-    for (i, &raw) in s.iter().enumerate().take(9) {
-        let byte = u64::from(raw);
-        v |= (byte & 0x7f) << (7 * i as u32);
-        if byte < 0x80 {
-            *off += i + 1;
-            return Ok(v);
-        }
+    let stops = !word & 0x8080_8080_8080_8080;
+    if stops != 0 {
+        let len = stops.trailing_zeros() as usize / 8 + 1; // 2..=8 bytes
+        *off += len;
+        return Ok(pack_groups(word & u64::MAX >> (64 - 8 * len)));
     }
-    let last = u64::from(s[9]);
-    if last > 1 {
-        return Err(CodecError::Corrupt("varint overflows u64".into()));
+    // Nine or ten bytes: the first eight carry the low 56 bits.
+    let (ninth, tenth) = (u64::from(s[8]), u64::from(s[9]));
+    if ninth < 0x80 {
+        *off += 9;
+        return Ok(pack_groups(word) | ninth << 56);
     }
-    v |= last << 63;
+    if tenth > 1 {
+        return Err(varint_overflow());
+    }
     *off += 10;
-    Ok(v)
+    Ok(pack_groups(word) | (ninth & 0x7f) << 56 | tenth << 63)
+}
+
+#[cold]
+fn varint_overflow() -> CodecError {
+    CodecError::Corrupt("varint overflows u64".into())
+}
+
+/// The low 7 bits of each byte of `w`, packed into 56 bits.
+#[inline]
+fn pack_groups(w: u64) -> u64 {
+    let w = w & 0x7f7f_7f7f_7f7f_7f7f;
+    (w & 0x7f)
+        | (w >> 1 & 0x3f80)
+        | (w >> 2 & 0x1f_c000)
+        | (w >> 3 & 0xfe0_0000)
+        | (w >> 4 & 0x7_f000_0000)
+        | (w >> 5 & 0x3f8_0000_0000)
+        | (w >> 6 & 0x1_fc00_0000_0000)
+        | (w >> 7 & 0xfe_0000_0000_0000)
 }
 
 /// Buffer-tail fallback of [`get_varint`]: byte-at-a-time with a
@@ -792,32 +866,46 @@ fn put_counts(out: &mut BytesMut, counts: &[u32], mode: u8) {
     }
 }
 
-/// Decode a v2 counts block. Every count and the running entry total
-/// are capped at [`MAX_COUNT`], and the RLE mode may not overshoot the
-/// row count, so a forged block cannot demand unbounded memory from the
-/// readers that size buffers off these counts.
-fn decode_counts(b: &[u8], off: &mut usize, n_rows: usize) -> Result<Vec<u32>, CodecError> {
+/// Decode a v2 counts block into `starts`: each row's first entry index
+/// and, last, the entry total (`n_rows + 1` values). Every count and the
+/// running entry total are capped at [`MAX_COUNT`], and the RLE mode may
+/// not overshoot the row count, so a forged block cannot demand
+/// unbounded memory from the readers that size buffers off these counts.
+fn decode_counts(
+    b: &[u8],
+    off: &mut usize,
+    n_rows: usize,
+    starts: &mut Vec<u32>,
+) -> Result<(), CodecError> {
     let Some(&mode) = b.get(*off) else {
         return Err(CodecError::UnexpectedEof);
     };
     *off += 1;
-    let mut counts: Vec<u32> = Vec::with_capacity((n_rows + 1).min(4096));
+    starts.reserve((n_rows + 1).min(4096));
+    starts.push(0);
     let mut total = 0u64;
     match mode {
         COUNTS_VARINT => {
             for _ in 0..n_rows {
-                let c = get_varint(b, off)?;
+                // Counts below 128 — nearly all of them — are one byte.
+                let c = match b.get(*off) {
+                    Some(&c) if c < 0x80 => {
+                        *off += 1;
+                        u64::from(c)
+                    }
+                    _ => get_varint(b, off)?,
+                };
                 total += check_count(c, total)?;
-                counts.push(c as u32);
+                starts.push(total as u32);
             }
         }
         COUNTS_RLE => {
-            while counts.len() < n_rows {
+            while starts.len() <= n_rows {
                 let run = get_varint(b, off)?;
                 if run == 0 || run > MAX_RUN {
                     return Err(CodecError::Corrupt(format!("count run {run} out of range")));
                 }
-                if run as usize > n_rows - counts.len() {
+                if run as usize > n_rows + 1 - starts.len() {
                     return Err(CodecError::Corrupt(
                         "count runs overshoot the row count".into(),
                     ));
@@ -825,7 +913,7 @@ fn decode_counts(b: &[u8], off: &mut usize, n_rows: usize) -> Result<Vec<u32>, C
                 let c = get_varint(b, off)?;
                 for _ in 0..run {
                     total += check_count(c, total)?;
-                    counts.push(c as u32);
+                    starts.push(total as u32);
                 }
             }
         }
@@ -833,7 +921,7 @@ fn decode_counts(b: &[u8], off: &mut usize, n_rows: usize) -> Result<Vec<u32>, C
             return Err(CodecError::Corrupt(format!("unknown counts mode {mode}")));
         }
     }
-    Ok(counts)
+    Ok(())
 }
 
 /// One count's sanity gate: itself and the running total stay under
@@ -848,10 +936,23 @@ fn check_count(c: u64, total_so_far: u64) -> Result<u64, CodecError> {
 }
 
 /// Delta-encode `records` (concatenated `rec`-byte records) under the
-/// field `plan` into `out` (which already carries the frame prefix).
-fn encode_delta(records: &[u8], rec: usize, plan: &[FieldKind], out: &mut BytesMut) {
-    let mut prev = [0u64; MAX_PLAN_FIELDS];
+/// field `plan` into `out` (which already carries the frame prefix),
+/// against `prev`, the field values of the record before them (zero at
+/// the start of a column), which it leaves at the last record's. Stops
+/// early once `out` is longer than `limit`, when the caller keeps the
+/// raw frame anyway.
+fn encode_delta(
+    records: &[u8],
+    rec: usize,
+    plan: &[FieldKind],
+    prev: &mut [u64; MAX_PLAN_FIELDS],
+    out: &mut BytesMut,
+    limit: usize,
+) {
     for r in records.chunks_exact(rec) {
+        if out.len() > limit {
+            return;
+        }
         let mut off = 0usize;
         for (fi, kind) in plan.iter().enumerate() {
             match kind {
@@ -883,26 +984,265 @@ fn encode_delta(records: &[u8], rec: usize, plan: &[FieldKind], out: &mut BytesM
     }
 }
 
-/// Decode exactly `n_records` `rec`-byte records from `b` at `*off`
-/// into `out`, under the encoding `tag` was validated to name: delta,
-/// or one of the legacy dictionary and RLE encodings. Corrupt
-/// streams error before producing data, and the initial reserve is
-/// clamped, so allocation stays proportional to the bytes the frame
-/// actually carries — a forged count cannot demand memory the stream
-/// never backs.
-#[allow(clippy::too_many_arguments)]
-fn decode_records(
+/// The field values [`encode_delta`] takes as `prev` after `rec`.
+fn field_state(plan: &[FieldKind], rec: &[u8]) -> [u64; MAX_PLAN_FIELDS] {
+    let mut state = [0u64; MAX_PLAN_FIELDS];
+    let mut off = 0usize;
+    for (fi, kind) in plan.iter().enumerate() {
+        match kind {
+            FieldKind::Byte => off += 1,
+            FieldKind::U32 => {
+                state[fi] = u64::from(rd_u32(rec, off));
+                off += 4;
+            }
+            FieldKind::U64 | FieldKind::F64 => {
+                state[fi] = rd_u64(rec, off);
+                off += 8;
+            }
+        }
+    }
+    state
+}
+
+/// A column frame whose row index [`walk_rows`] has walked: the fat
+/// columns' delta frames hold their entries verbatim, every other frame
+/// a stream of records still to be walked.
+enum Body<'f> {
+    /// The frame range of a fat column's entries.
+    Verbatim(Range<usize>),
+    /// The records, at `records.off`.
+    Records(RecordWalk<'f>),
+}
+
+/// The records of one frame, ready for [`RecordWalk::walk`].
+struct RecordWalk<'f> {
     id: ColumnId,
+    /// The frame's encoding; [`TAG_RAW`] for a v1 payload too.
     tag: u8,
+    /// The frame, or the bare payload of a raw one.
+    b: &'f [u8],
+    off: usize,
+    n_records: usize,
+    rec: usize,
+}
+
+/// The first half of the one walk of a column frame: its encoding and
+/// its row index, with every check on them, in one order, so the reader,
+/// the verify and the skim fail alike on the same bytes. `starts`
+/// receives a variable column's row index (each row's first entry index,
+/// then the entry total); it is left empty for a fixed column.
+fn walk_rows<'f>(
+    id: ColumnId,
+    version: u16,
+    frame: &'f [u8],
+    n_rows: usize,
+    starts: &mut Vec<u32>,
+) -> Result<Body<'f>, CodecError> {
+    starts.clear();
+    let layout = id.layout();
+    let (tag, body) = if version == COLUMNAR_VERSION_V1 {
+        (TAG_RAW, frame)
+    } else {
+        (frame[0], &frame[1..])
+    };
+    if tag == TAG_RAW {
+        let rec = match layout {
+            // The length law was checked at parse.
+            ColumnLayout::Fixed(stride) => stride,
+            ColumnLayout::Var(entry) => {
+                raw_rows(id, entry, body, n_rows, starts)?;
+                entry
+            }
+        };
+        return Ok(Body::Records(RecordWalk {
+            id,
+            tag,
+            b: body,
+            off: 0,
+            n_records: starts.last().map_or(n_rows, |&total| total as usize),
+            rec,
+        }));
+    }
+    let mut off = 1usize; // past the encoding tag
+    let rec = match layout {
+        ColumnLayout::Fixed(stride) => stride,
+        ColumnLayout::Var(entry) => {
+            decode_counts(frame, &mut off, n_rows, starts)?;
+            entry
+        }
+    };
+    let n_records = starts.last().map_or(n_rows, |&total| total as usize);
+    if delta_plan(id).is_some() {
+        return Ok(Body::Records(RecordWalk {
+            id,
+            tag,
+            b: frame,
+            off,
+            n_records,
+            rec,
+        }));
+    }
+    if tag != TAG_DELTA {
+        return Err(unsupported_tag(id, tag));
+    }
+    if frame.len() - off != n_records * rec {
+        return Err(CodecError::Corrupt(format!(
+            "column '{}' entries region is {} bytes for \
+             {n_records} entries of {rec}",
+            id.name(),
+            frame.len() - off
+        )));
+    }
+    Ok(Body::Verbatim(off..frame.len()))
+}
+
+/// Check a raw variable payload (per row `count:u32le`, then that row's
+/// entries) row by row — counts, extents, trailing bytes — into its row
+/// index.
+fn raw_rows(
+    id: ColumnId,
+    entry: usize,
+    payload: &[u8],
+    n_rows: usize,
+    starts: &mut Vec<u32>,
+) -> Result<(), CodecError> {
+    // Raw payloads are at least 4 bytes per row (checked at parse), so
+    // `n_rows` is bounded by the bytes actually present.
+    starts.reserve(n_rows + 1);
+    starts.push(0);
+    let (mut off, mut total) = (0usize, 0u32);
+    for _ in 0..n_rows {
+        if off + 4 > payload.len() {
+            return Err(CodecError::UnexpectedEof);
+        }
+        let count = rd_u32(payload, off);
+        if count > MAX_COUNT {
+            return Err(CodecError::Corrupt(format!(
+                "count {count} exceeds sanity limit"
+            )));
+        }
+        let row_len = 4 + count as usize * entry;
+        if payload.len() - off < row_len {
+            return Err(CodecError::UnexpectedEof);
+        }
+        off += row_len;
+        total += count; // the entries fit the payload: no overflow
+        starts.push(total);
+    }
+    if off != payload.len() {
+        return Err(CodecError::Corrupt(format!(
+            "column '{}' has {} trailing bytes",
+            id.name(),
+            payload.len() - off
+        )));
+    }
+    Ok(())
+}
+
+impl RecordWalk<'_> {
+    /// The second half of the one walk: every record, checked in order.
+    /// Those in the `keep` ranges (record indexes, ascending and
+    /// disjoint) are appended to `recs` — all of them for a reader, none
+    /// for the verify, the survivors' for the skim — and, with `frame`,
+    /// delta-coded onto that output frame as [`put_column`] would code
+    /// them. `starts` is the row index [`walk_rows`] returned.
+    fn walk(
+        mut self,
+        starts: &[u32],
+        keep: &[(usize, usize)],
+        recs: &mut Vec<u8>,
+        frame: Option<&mut BytesMut>,
+    ) -> Result<(), CodecError> {
+        let kept: usize = keep.iter().map(|(a, b)| b - a).sum();
+        // Clamped, so a forged count cannot demand memory the frame
+        // never backs.
+        recs.reserve((kept * self.rec).min(64 * 1024));
+        let (id, b, rec, n) = (self.id, self.b, self.rec, self.n_records);
+        let off = &mut self.off;
+        if self.tag == TAG_DELTA {
+            // Each plan gets its own instance of the walker, its record
+            // size a constant.
+            macro_rules! walk {
+                ($plan:ident) => {
+                    walk_delta::<_, { plan_len(&$plan) }>($plan, b, off, n, keep, recs, frame)
+                };
+            }
+            match id {
+                ColumnId::Header => walk!(HEADER_PLAN)?,
+                ColumnId::Scalars => walk!(SCALARS_PLAN)?,
+                ColumnId::ElectronId => walk!(E_ID_PLAN)?,
+                ColumnId::MuonId => walk!(MU_ID_PLAN)?,
+                ColumnId::JetId => walk!(JET_ID_PLAN)?,
+                _ => unreachable!("only the columns with a field plan hold delta records"),
+            }
+        } else {
+            let base = recs.len();
+            let mut take = Take {
+                keep,
+                k: 0,
+                i: 0,
+                out: recs,
+            };
+            walk_plain(self.tag, id, b, off, n, rec, starts, &mut take)?;
+            // No delta bytes to copy: every kept record is coded afresh.
+            if let (Some(frame), Some(plan)) = (frame, delta_plan(id)) {
+                let mut prev = [0u64; MAX_PLAN_FIELDS];
+                encode_delta(&recs[base..], rec, plan, &mut prev, frame, usize::MAX);
+            }
+        }
+        if self.tag != TAG_RAW && *off != b.len() {
+            return Err(trailing_bytes(id, b.len() - *off));
+        }
+        Ok(())
+    }
+}
+
+/// Appends the records in the `keep` ranges to `out`, one record at a
+/// time — the cursor of the frames without delta bytes.
+struct Take<'a> {
+    keep: &'a [(usize, usize)],
+    /// The first range not yet behind record `i`, the next one handed in.
+    k: usize,
+    i: usize,
+    out: &'a mut Vec<u8>,
+}
+
+impl Take<'_> {
+    fn record(&mut self, rec: &[u8]) {
+        while self.keep.get(self.k).is_some_and(|r| r.1 <= self.i) {
+            self.k += 1;
+        }
+        if self.keep.get(self.k).is_some_and(|r| r.0 <= self.i) {
+            self.out.extend_from_slice(rec);
+        }
+        self.i += 1;
+    }
+}
+
+/// The records of a raw frame, or of a legacy dictionary or RLE one, in
+/// order.
+#[allow(clippy::too_many_arguments)]
+fn walk_plain(
+    tag: u8,
+    id: ColumnId,
     b: &[u8],
     off: &mut usize,
     n_records: usize,
     rec: usize,
-    plan: &[FieldKind],
-    out: &mut Vec<u8>,
+    starts: &[u32],
+    take: &mut Take<'_>,
 ) -> Result<(), CodecError> {
-    out.reserve((n_records * rec).min(64 * 1024));
     match tag {
+        TAG_RAW if starts.is_empty() => b.chunks_exact(rec).for_each(|r| take.record(r)),
+        TAG_RAW => {
+            // Row r's entries follow the r + 1 count prefixes before them.
+            for row in 0..starts.len() - 1 {
+                let at = |i: usize| 4 * (row + 1) + starts[i] as usize * rec;
+                b[at(row)..at(row + 1)]
+                    .chunks_exact(rec)
+                    .for_each(|r| take.record(r));
+            }
+        }
         TAG_DICT => {
             if b.len() - *off < 2 {
                 return Err(CodecError::UnexpectedEof);
@@ -930,48 +1270,9 @@ fn decode_records(
                         id.name()
                     )));
                 }
-                out.extend_from_slice(&table[idx * rec..(idx + 1) * rec]);
+                take.record(&table[idx * rec..(idx + 1) * rec]);
             }
             *off += n_records;
-        }
-        TAG_DELTA => {
-            let mut prev = [0u64; MAX_PLAN_FIELDS];
-            for _ in 0..n_records {
-                for (fi, kind) in plan.iter().enumerate() {
-                    match kind {
-                        FieldKind::Byte => {
-                            let Some(&v) = b.get(*off) else {
-                                return Err(CodecError::UnexpectedEof);
-                            };
-                            *off += 1;
-                            out.push(v);
-                        }
-                        FieldKind::U32 => {
-                            let d = get_varint(b, off)?;
-                            let v = (prev[fi] as i64)
-                                .checked_add(unzigzag(d))
-                                .and_then(|v| u32::try_from(v).ok())
-                                .ok_or_else(|| {
-                                    CodecError::Corrupt("u32 delta lands out of range".into())
-                                })?;
-                            prev[fi] = u64::from(v);
-                            out.extend_from_slice(&v.to_le_bytes());
-                        }
-                        FieldKind::U64 => {
-                            let d = get_varint(b, off)?;
-                            let v = prev[fi].wrapping_add(unzigzag(d) as u64);
-                            prev[fi] = v;
-                            out.extend_from_slice(&v.to_le_bytes());
-                        }
-                        FieldKind::F64 => {
-                            let d = get_varint(b, off)?;
-                            let v = prev[fi] ^ d;
-                            prev[fi] = v;
-                            out.extend_from_slice(&v.to_le_bytes());
-                        }
-                    }
-                }
-            }
         }
         TAG_RLE => {
             let mut produced = 0usize;
@@ -992,76 +1293,271 @@ fn decode_records(
                 let r = &b[*off..*off + rec];
                 *off += rec;
                 for _ in 0..run {
-                    out.extend_from_slice(r);
+                    take.record(r);
                 }
                 produced += run;
             }
         }
-        _ => {
-            return Err(CodecError::Corrupt(format!(
-                "column '{}' does not support encoding tag {tag}",
-                id.name()
-            )));
-        }
+        _ => return Err(unsupported_tag(id, tag)),
     }
     Ok(())
 }
 
-/// Encode one column into its v2 frame (tag-prefixed). A fixed column
+/// The one delta walker. Each call site passes a column's field plan and
+/// record size as constants; with the fields unrolled by hand, once this
+/// is inlined every field's kind and offset are constants too, so each
+/// plan gets its own straight-line record loops: one that only checks
+/// and tracks the running values, one that also appends the record.
+///
+/// With `frame`, the kept records are also delta-coded onto the skim's
+/// output frame. A kept record whose input predecessor was kept too has
+/// the same delta in the output as in the input, so past each range's
+/// first record the input's bytes are copied, one copy per range; the
+/// first record after a gap (a run start, a dropped row, a jet cap) is
+/// coded against the last record kept. A range holding a varint longer
+/// than the writer makes it is coded afresh instead.
+#[inline(always)]
+fn walk_delta<const N: usize, const R: usize>(
+    plan: [FieldKind; N],
+    b: &[u8],
+    off: &mut usize,
+    n_records: usize,
+    keep: &[(usize, usize)],
+    recs: &mut Vec<u8>,
+    mut frame: Option<&mut BytesMut>,
+) -> Result<(), CodecError> {
+    const { assert!(N == 2 || N == 3, "plans have two or three fields") };
+    // The running field values of the input, and of the output.
+    let (mut prev, mut last) = ([0u64; N], [0u64; N]);
+    let mut next = 0usize;
+    for &(lo, hi) in keep.iter().filter(|(lo, hi)| lo < hi) {
+        debug_assert!(
+            next <= lo && hi <= n_records,
+            "kept ranges ascend within the stream"
+        );
+        for _ in next..lo {
+            delta_record::<N, R>(&plan, &mut prev, b, off)?;
+        }
+        recs.extend_from_slice(&delta_record::<N, R>(&plan, &mut prev, b, off)?.0);
+        if let Some(frame) = frame.as_deref_mut() {
+            put_delta_field(plan[0], prev[0], last[0], frame);
+            put_delta_field(plan[1], prev[1], last[1], frame);
+            if N == 3 {
+                put_delta_field(plan[N - 1], prev[N - 1], last[N - 1], frame);
+            }
+        }
+        let (from, mut canonical) = (*off, true);
+        for _ in lo + 1..hi {
+            let (rec, exact) = delta_record::<N, R>(&plan, &mut prev, b, off)?;
+            canonical &= exact;
+            recs.extend_from_slice(&rec);
+        }
+        if let Some(frame) = frame.as_deref_mut() {
+            if canonical {
+                frame.put_slice(&b[from..*off]);
+            } else {
+                let rest = &recs[recs.len() - (hi - lo) * R..];
+                let mut state = field_state(&plan, &rest[..R]);
+                encode_delta(&rest[R..], R, &plan, &mut state, frame, usize::MAX);
+            }
+        }
+        last = prev;
+        next = hi;
+    }
+    for _ in next..n_records {
+        delta_record::<N, R>(&plan, &mut prev, b, off)?;
+    }
+    Ok(())
+}
+
+/// Append one field's delta — `v` against `last`, the same field of the
+/// record before — as [`encode_delta`] writes it.
+#[inline(always)]
+fn put_delta_field(kind: FieldKind, v: u64, last: u64, out: &mut BytesMut) {
+    match kind {
+        FieldKind::Byte => out.put_u8(v as u8),
+        FieldKind::U32 => put_varint(out, zigzag(v as i64 - last as i64)),
+        FieldKind::U64 => put_varint(out, zigzag((v as i64).wrapping_sub(last as i64))),
+        FieldKind::F64 => put_varint(out, v ^ last),
+    }
+}
+
+/// Decode one delta record against `prev`, the field values of the one
+/// before, which it advances; also says whether its varints are
+/// canonical (exactly what the writer emits).
+#[inline(always)]
+fn delta_record<const N: usize, const R: usize>(
+    plan: &[FieldKind; N],
+    prev: &mut [u64; N],
+    b: &[u8],
+    off: &mut usize,
+) -> Result<([u8; R], bool), CodecError> {
+    let (mut rec, mut at, mut canonical) = ([0u8; R], 0usize, true);
+    delta_field(
+        plan[0],
+        &mut prev[0],
+        b,
+        off,
+        &mut rec,
+        &mut at,
+        &mut canonical,
+    )?;
+    delta_field(
+        plan[1],
+        &mut prev[1],
+        b,
+        off,
+        &mut rec,
+        &mut at,
+        &mut canonical,
+    )?;
+    if N == 3 {
+        delta_field(
+            plan[N - 1],
+            &mut prev[N - 1],
+            b,
+            off,
+            &mut rec,
+            &mut at,
+            &mut canonical,
+        )?;
+    }
+    debug_assert_eq!(at, R, "field plan must cover the record");
+    Ok((rec, canonical))
+}
+
+/// Decode one field of a delta record into `rec` at `*at`, against
+/// `prev`, the same field of the record before, which it leaves at this
+/// field's value; `canonical` turns false when its varint is longer than
+/// the writer makes it.
+#[inline(always)]
+fn delta_field(
+    kind: FieldKind,
+    prev: &mut u64,
+    b: &[u8],
+    off: &mut usize,
+    rec: &mut [u8],
+    at: &mut usize,
+    canonical: &mut bool,
+) -> Result<(), CodecError> {
+    if let FieldKind::Byte = kind {
+        let Some(&v) = b.get(*off) else {
+            return Err(CodecError::UnexpectedEof);
+        };
+        *off += 1;
+        *prev = u64::from(v);
+        rec[*at] = v;
+        *at += 1;
+        return Ok(());
+    }
+    let start = *off;
+    let d = get_varint(b, off)?;
+    *canonical &= *off - start == varint_len(d);
+    if let FieldKind::U32 = kind {
+        let v = (*prev as i64)
+            .checked_add(unzigzag(d))
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or_else(|| CodecError::Corrupt("u32 delta lands out of range".into()))?;
+        *prev = u64::from(v);
+        rec[*at..*at + 4].copy_from_slice(&v.to_le_bytes());
+        *at += 4;
+    } else {
+        *prev = match kind {
+            FieldKind::U64 => prev.wrapping_add(unzigzag(d) as u64),
+            _ => *prev ^ d,
+        };
+        rec[*at..*at + 8].copy_from_slice(&prev.to_le_bytes());
+        *at += 8;
+    }
+    Ok(())
+}
+
+/// Bytes of one record under `plan`.
+const fn plan_len(plan: &[FieldKind]) -> usize {
+    let (mut i, mut len) = (0, 0);
+    while i < plan.len() {
+        len += match plan[i] {
+            FieldKind::Byte => 1,
+            FieldKind::U32 => 4,
+            FieldKind::U64 | FieldKind::F64 => 8,
+        };
+        i += 1;
+    }
+    len
+}
+
+/// Append one column's v2 frame (tag-prefixed) to `out`. A fixed column
 /// comes as its records back to back with `counts` empty; a variable
 /// column as its per-row entry counts and its entries back to back. The
 /// frame is delta ([`encode_delta`] under the column's field plan, or
-/// verbatim entries behind a compressed counts block for the fat
-/// columns) when that is strictly smaller than the raw frame, raw (the
-/// v1 layout, [`put_raw`]) otherwise. A pure function of (column,
-/// counts, entries) — so re-encoding the rows a skim keeps equals
-/// encoding the same events from scratch, and skim output stays
+/// [`put_fat`]'s verbatim entries behind a compressed counts block) when
+/// that is strictly smaller than the raw frame, raw (the v1 layout,
+/// [`put_raw`]) otherwise. A pure function of (column, counts, entries),
+/// which the skim's frames equal byte for byte — so skim output stays
 /// canonical.
-fn encode_column(id: ColumnId, counts: &[u32], entries: &[u8]) -> BytesMut {
-    let raw_len = 4 * counts.len() + entries.len();
+fn put_column(out: &mut BytesMut, id: ColumnId, counts: &[u32], entries: &[u8]) {
     let Some(plan) = delta_plan(id) else {
-        // Fat columns keep their entries verbatim, so the delta frame's
-        // size is known before a byte is written: build only the frame
-        // that wins, at its exact size.
-        let (mode, block_len) = counts_block(counts);
-        let delta_len = 1 + block_len + entries.len();
-        if delta_len > raw_len {
-            return raw_frame(id, counts, entries);
-        }
-        let mut frame = BytesMut::with_capacity(delta_len);
-        frame.put_u8(TAG_DELTA);
-        put_counts(&mut frame, counts, mode);
-        frame.put_slice(entries);
-        return frame;
+        return put_fat(out, id, counts, [entries]);
     };
-    // Room for one maximal varint store past a raw-sized frame, so the
-    // encode never regrows the buffer before it loses to raw.
-    let mut frame = BytesMut::with_capacity(1 + raw_len + MAX_VARINT_LEN);
-    frame.put_u8(TAG_DELTA);
+    let raw_len = 4 * counts.len() + entries.len();
+    out.reserve(1 + raw_len + FRAME_SLACK);
+    let start = begin_delta(out, id, counts);
     let rec = match id.layout() {
         ColumnLayout::Fixed(stride) => stride,
-        ColumnLayout::Var(entry) => {
-            let (mode, _) = counts_block(counts);
-            put_counts(&mut frame, counts, mode);
-            entry
-        }
+        ColumnLayout::Var(entry) => entry,
     };
-    encode_delta(entries, rec, plan, &mut frame);
-    if frame.len() > raw_len {
-        // Delta is not strictly smaller than the raw frame: ties go to raw.
-        return raw_frame(id, counts, entries);
-    }
-    // Frames live until the file is assembled: keep an exact-size copy,
-    // not the raw-sized encode buffer.
-    BytesMut::from(frame.to_vec())
+    let mut prev = [0u64; MAX_PLAN_FIELDS];
+    encode_delta(entries, rec, plan, &mut prev, out, start + raw_len);
+    end_delta(out, start, id, counts, entries);
 }
 
-/// The `TAG_RAW` frame of a column, at its exact size.
-fn raw_frame(id: ColumnId, counts: &[u32], entries: &[u8]) -> BytesMut {
-    let mut frame = BytesMut::with_capacity(1 + 4 * counts.len() + entries.len());
-    frame.put_u8(TAG_RAW);
-    put_raw(&mut frame, id, counts, entries);
-    frame
+/// Open a thin column's delta frame on `out`: the tag, and a variable
+/// column's counts block. Returns where the frame starts.
+fn begin_delta(out: &mut BytesMut, id: ColumnId, counts: &[u32]) -> usize {
+    let start = out.len();
+    out.put_u8(TAG_DELTA);
+    if let ColumnLayout::Var(_) = id.layout() {
+        let (mode, _) = counts_block(counts);
+        put_counts(out, counts, mode);
+    }
+    start
+}
+
+/// Close the delta frame opened at `start`: when it is not strictly
+/// smaller than the raw frame of (counts, entries), the raw frame takes
+/// its place — ties go to raw.
+fn end_delta(out: &mut BytesMut, start: usize, id: ColumnId, counts: &[u32], entries: &[u8]) {
+    if out.len() - start > 4 * counts.len() + entries.len() {
+        out.truncate(start);
+        out.put_u8(TAG_RAW);
+        put_raw(out, id, counts, entries);
+    }
+}
+
+/// Append a fat column's frame: the counts block, then the entries
+/// verbatim from `chunks` in order, when that is strictly smaller than
+/// the raw frame. Its size is known before a byte is written, so only
+/// the winning frame is built.
+fn put_fat<'a>(
+    out: &mut BytesMut,
+    id: ColumnId,
+    counts: &[u32],
+    chunks: impl IntoIterator<Item = &'a [u8]> + Clone,
+) {
+    let n_bytes: usize = chunks.clone().into_iter().map(<[u8]>::len).sum();
+    let (mode, block_len) = counts_block(counts);
+    if 1 + block_len + n_bytes > 4 * counts.len() + n_bytes {
+        let entries = chunks.into_iter().collect::<Vec<_>>().concat();
+        out.put_u8(TAG_RAW);
+        put_raw(out, id, counts, &entries);
+        return;
+    }
+    out.reserve(1 + block_len + n_bytes);
+    out.put_u8(TAG_DELTA);
+    put_counts(out, counts, mode);
+    for chunk in chunks {
+        out.put_slice(chunk);
+    }
 }
 
 /// Append a column's raw (v1) payload: fixed records as they are,
@@ -1081,64 +1577,11 @@ fn put_raw(out: &mut BytesMut, id: ColumnId, counts: &[u32], entries: &[u8]) {
     }
 }
 
-/// Decode a non-raw v2 frame into a [`ColumnReader`]. A variable
-/// column's counts block becomes the reader's row offsets, in place;
-/// the records or entries are then decoded under the column's field
-/// plan, or — for the fat four-momentum columns, whose entries v2
-/// stores verbatim — kept as a zero-copy window over the entries region.
-fn decode_frame(
-    id: ColumnId,
-    layout: ColumnLayout,
-    tag: u8,
-    frame: &Bytes,
-    n_rows: usize,
-) -> Result<ColumnReader, CodecError> {
-    let b: &[u8] = frame;
-    let mut off = 1usize; // past the encoding tag
-    let (rec, n_records, starts) = match layout {
-        ColumnLayout::Fixed(stride) => (stride, n_rows, Vec::new()),
-        ColumnLayout::Var(entry) => {
-            let mut starts = decode_counts(b, &mut off, n_rows)?;
-            let mut acc = 0u32;
-            for s in &mut starts {
-                let count = std::mem::replace(s, acc);
-                acc += count * entry as u32; // total·entry < 2³⁰, no overflow
-            }
-            starts.push(acc);
-            (entry, acc as usize / entry, starts)
-        }
-    };
-    let Some(plan) = delta_plan(id) else {
-        if tag != TAG_DELTA {
-            return Err(CodecError::Corrupt(format!(
-                "column '{}' does not support encoding tag {tag}",
-                id.name()
-            )));
-        }
-        if b.len() - off != n_records * rec {
-            return Err(CodecError::Corrupt(format!(
-                "column '{}' entries region is {} bytes for \
-                 {n_records} entries of {rec}",
-                id.name(),
-                b.len() - off
-            )));
-        }
-        return Ok(ColumnReader {
-            layout,
-            payload: frame.slice(off..),
-            starts,
-        });
-    };
-    let mut records = Vec::new();
-    decode_records(id, tag, b, &mut off, n_records, rec, plan, &mut records)?;
-    if off != b.len() {
-        return Err(trailing_bytes(id, b.len() - off));
-    }
-    Ok(ColumnReader {
-        layout,
-        payload: Bytes::from(records),
-        starts,
-    })
+fn unsupported_tag(id: ColumnId, tag: u8) -> CodecError {
+    CodecError::Corrupt(format!(
+        "column '{}' does not support encoding tag {tag}",
+        id.name()
+    ))
 }
 
 fn trailing_bytes(id: ColumnId, n: usize) -> CodecError {
@@ -1148,58 +1591,99 @@ fn trailing_bytes(id: ColumnId, n: usize) -> CodecError {
     ))
 }
 
-/// The paired p4/id columns must agree on every row's entry count.
-fn cross_check_counts(
-    readers: &[ColumnReader; N_COLUMNS],
-    n_rows: usize,
-) -> Result<(), CodecError> {
-    for (p4, id) in [
-        (ColumnId::ElectronP4, ColumnId::ElectronId),
-        (ColumnId::MuonP4, ColumnId::MuonId),
-        (ColumnId::JetP4, ColumnId::JetId),
-    ] {
-        let (a, b) = (&readers[p4 as usize], &readers[id as usize]);
-        for row in 0..n_rows {
-            if a.count(row) != b.count(row) {
-                return Err(CodecError::Corrupt(format!(
-                    "columns '{}' and '{}' disagree on the entry \
-                     count at row {row}",
-                    p4.name(),
-                    id.name()
-                )));
-            }
-        }
+/// The (p4, id) column pairs whose per-row entry counts must agree, in
+/// the order they are checked.
+const PAIRS: [(ColumnId, ColumnId); 3] = [
+    (ColumnId::ElectronP4, ColumnId::ElectronId),
+    (ColumnId::MuonP4, ColumnId::MuonId),
+    (ColumnId::JetP4, ColumnId::JetId),
+];
+
+/// A p4 column and its id column must agree on every row's entry count.
+/// `a` and `b` are their row indexes; both start at 0, so the first index
+/// where they differ is one past the first row whose counts differ.
+fn check_pair(p4: ColumnId, id: ColumnId, a: &[u32], b: &[u32]) -> Result<(), CodecError> {
+    match a.iter().zip(b).position(|(x, y)| x != y) {
+        None => Ok(()),
+        Some(i) => Err(CodecError::Corrupt(format!(
+            "columns '{}' and '{}' disagree on the entry \
+             count at row {}",
+            p4.name(),
+            id.name(),
+            i - 1
+        ))),
     }
-    Ok(())
 }
 
 // --- Worker-pool parallel encode --------------------------------------------
 
 /// Encode AOD events into a columnar file with the ten column builds
 /// and frame encodes fanned over the worker pool. Each worker lays out
-/// and encodes whole columns and the merge keeps column order, so the
-/// bytes are the same at any thread count; `threads <= 1` is
-/// [`ColumnarFile::from_rows`].
+/// and encodes whole columns, back to back into one buffer sized for
+/// their raw frames; the first worker's buffer starts with the header
+/// and table space and the others' frames are appended to it in column
+/// order, so the bytes are the same at any thread count and with one
+/// worker ([`ColumnarFile::from_rows`]) the file is written in place.
 pub fn encode_columnar_parallel(events: &[AodEvent], threads: usize) -> Bytes {
     let n_rows = row_count(events);
     let chunk_len = N_COLUMNS.div_ceil(threads.max(1));
-    let frames: Vec<BytesMut> = par::map_chunks(N_COLUMNS, chunk_len, threads, |_, range| {
-        ColumnId::ALL[range]
+    let mut chunks = par::map_chunks(N_COLUMNS, chunk_len, threads, |_, range| {
+        let head = if range.start == 0 { FRAMES_BASE } else { 0 };
+        let ids = &ColumnId::ALL[range];
+        let size: usize = ids
+            .iter()
+            .map(|&id| 1 + raw_len(id, events) + FRAME_SLACK)
+            .sum();
+        let mut buf = BytesMut::with_capacity(head + size);
+        buf.put_slice(&[0; FRAMES_BASE][..head]);
+        let lens: Vec<usize> = ids
             .iter()
             .map(|&id| {
+                let at = buf.len();
                 let (counts, entries) = build_column(id, events);
-                encode_column(id, &counts, &entries)
+                put_column(&mut buf, id, &counts, &entries);
+                buf.len() - at
             })
-            .collect::<Vec<_>>()
+            .collect();
+        (buf, lens)
     })
-    .into_iter()
-    .flatten()
-    .collect();
-    let frames: [BytesMut; N_COLUMNS] = frames.try_into().expect("one frame per column");
-    assemble_file(COLUMNAR_VERSION, n_rows, &frames)
+    .into_iter();
+    let (mut file, mut lens) = chunks.next().expect("at least one chunk");
+    let rest: Vec<_> = chunks.collect();
+    file.reserve(rest.iter().map(|(buf, _)| buf.len()).sum());
+    for (buf, more) in rest {
+        file.put_slice(&buf);
+        lens.extend(more);
+    }
+    let lens: [usize; N_COLUMNS] = lens.try_into().expect("one frame per column");
+    seal_file(file, COLUMNAR_VERSION, n_rows, &lens)
 }
 
-/// Lay out one column for `events` as [`encode_column`] takes it: the
+/// Entries `ev` holds in the variable column `id`.
+fn entry_count(id: ColumnId, ev: &AodEvent) -> usize {
+    match id {
+        ColumnId::ElectronP4 | ColumnId::ElectronId => ev.electrons.len(),
+        ColumnId::MuonP4 | ColumnId::MuonId => ev.muons.len(),
+        ColumnId::Photon => ev.photons.len(),
+        ColumnId::JetP4 | ColumnId::JetId => ev.jets.len(),
+        ColumnId::Candidate => ev.candidates.len(),
+        ColumnId::Header | ColumnId::Scalars => unreachable!("fixed column"),
+    }
+}
+
+/// Bytes of `id`'s raw (v1) column over `events`: a count per row of a
+/// variable column, and the records or entries.
+fn raw_len(id: ColumnId, events: &[AodEvent]) -> usize {
+    match id.layout() {
+        ColumnLayout::Fixed(stride) => events.len() * stride,
+        ColumnLayout::Var(entry) => events
+            .iter()
+            .map(|ev| 4 + entry * entry_count(id, ev))
+            .sum(),
+    }
+}
+
+/// Lay out one column for `events` as [`put_column`] takes it: the
 /// per-row entry counts (empty for a fixed column) and the records or
 /// entries back to back, the latter reserved at its exact size. The
 /// per-column worker of every columnar writer, sequential or parallel.
@@ -1207,19 +1691,7 @@ fn build_column(id: ColumnId, events: &[AodEvent]) -> (Vec<u32>, BytesMut) {
     let (counts, size): (Vec<u32>, usize) = match id.layout() {
         ColumnLayout::Fixed(stride) => (Vec::new(), events.len() * stride),
         ColumnLayout::Var(entry) => {
-            let counts: Vec<u32> = events
-                .iter()
-                .map(|ev| {
-                    (match id {
-                        ColumnId::ElectronP4 | ColumnId::ElectronId => ev.electrons.len(),
-                        ColumnId::MuonP4 | ColumnId::MuonId => ev.muons.len(),
-                        ColumnId::Photon => ev.photons.len(),
-                        ColumnId::JetP4 | ColumnId::JetId => ev.jets.len(),
-                        ColumnId::Candidate => ev.candidates.len(),
-                        ColumnId::Header | ColumnId::Scalars => unreachable!("fixed column"),
-                    }) as u32
-                })
-                .collect();
+            let counts: Vec<u32> = events.iter().map(|ev| entry_count(id, ev) as u32).collect();
             let total: usize = counts.iter().map(|&c| c as usize).sum();
             (counts, total * entry)
         }
@@ -1318,73 +1790,15 @@ fn build_column(id: ColumnId, events: &[AodEvent]) -> (Vec<u32>, BytesMut) {
 
 /// One opened column, in the writer's shape whatever its frame: a fixed
 /// column's records back to back, or a variable column's entries back
-/// to back with `starts` holding each row's entry-byte offset (`n_rows +
-/// 1` of them). A row, or a run of rows, is therefore one slice. Fixed
-/// raw columns and the fat delta-coded columns are zero-copy windows
-/// into the file buffer; the thin delta-coded columns own their decoded
-/// records, and a raw variable column owns its entries, copied once out
-/// of the interleaved rows when it is opened.
+/// to back with `starts` holding each row's first entry index (`n_rows +
+/// 1` of them, the last the entry total). A row, or a run of rows, is
+/// therefore one slice, and a row's count one subtraction. The fat
+/// columns' delta frames are zero-copy windows into the file buffer;
+/// every other column owns the records its walk handed over.
 struct ColumnReader {
     layout: ColumnLayout,
     payload: Bytes,
     starts: Vec<u32>,
-}
-
-/// Build a reader over a raw (v1-layout) payload. A fixed column stays a
-/// zero-copy window. A variable column is walked row by row, validating
-/// counts and extents, and its entries are copied out of the interleaved
-/// rows into the reader layout.
-fn reader_from_raw(
-    id: ColumnId,
-    layout: ColumnLayout,
-    payload: Bytes,
-    n_rows: usize,
-) -> Result<ColumnReader, CodecError> {
-    let ColumnLayout::Var(entry) = layout else {
-        return Ok(ColumnReader {
-            layout,
-            payload,
-            starts: Vec::new(),
-        });
-    };
-    let b: &[u8] = &payload;
-    // Raw payloads are at least 4 bytes per row (checked at parse), so
-    // `n_rows` is bounded by the bytes actually present and neither
-    // preallocation can outrun the file.
-    let mut starts = Vec::with_capacity(n_rows + 1);
-    let mut entries = Vec::with_capacity(b.len().saturating_sub(4 * n_rows));
-    let mut off = 0usize;
-    for _ in 0..n_rows {
-        starts.push(entries.len() as u32);
-        if off + 4 > b.len() {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let count = rd_u32(b, off);
-        if count > MAX_COUNT {
-            return Err(CodecError::Corrupt(format!(
-                "count {count} exceeds sanity limit"
-            )));
-        }
-        let row_len = 4 + count as usize * entry;
-        if b.len() - off < row_len {
-            return Err(CodecError::UnexpectedEof);
-        }
-        entries.extend_from_slice(&b[off + 4..off + row_len]);
-        off += row_len;
-    }
-    if off != b.len() {
-        return Err(CodecError::Corrupt(format!(
-            "column '{}' has {} trailing bytes",
-            id.name(),
-            b.len() - off
-        )));
-    }
-    starts.push(entries.len() as u32);
-    Ok(ColumnReader {
-        layout,
-        payload: Bytes::from(entries),
-        starts,
-    })
 }
 
 impl ColumnReader {
@@ -1393,7 +1807,7 @@ impl ColumnReader {
     fn count(&self, row: usize) -> usize {
         match self.layout {
             ColumnLayout::Fixed(_) => 1,
-            ColumnLayout::Var(entry) => (self.starts[row + 1] - self.starts[row]) as usize / entry,
+            ColumnLayout::Var(_) => (self.starts[row + 1] - self.starts[row]) as usize,
         }
     }
 
@@ -1402,7 +1816,9 @@ impl ColumnReader {
     fn span(&self, a: usize, b: usize) -> &[u8] {
         match self.layout {
             ColumnLayout::Fixed(stride) => &self.payload[a * stride..b * stride],
-            ColumnLayout::Var(_) => &self.payload[self.starts[a] as usize..self.starts[b] as usize],
+            ColumnLayout::Var(entry) => {
+                &self.payload[self.starts[a] as usize * entry..self.starts[b] as usize * entry]
+            }
         }
     }
 
@@ -1530,10 +1946,6 @@ impl<'a> ColumnCache<'a> {
             .as_ref()
             .expect("column opened before use")
     }
-
-    fn opened(&self) -> usize {
-        self.readers.iter().filter(|r| r.is_some()).count()
-    }
 }
 
 /// Evaluate a selection into a per-row keep mask, opening only the
@@ -1651,14 +2063,19 @@ fn count_mask(col: &ColumnReader, n_rows: usize, stride: usize, n: u32, pt: f64)
 
 /// Predicate-pushdown skim+slim over a columnar file.
 ///
-/// The selection opens only the columns its leaves read; survivors are
-/// carried into the output by verbatim row copies (no event is ever
-/// decoded), slim-dropped collections become empty rows without their
-/// source column being touched at all, and the jet cap truncates by
-/// entry arithmetic. The surviving *events* are exactly those
+/// The selection opens only the columns its leaves read. Every kept
+/// column is then walked once, straight into its output frame: a fat
+/// column's survivors cost their counts block and one copy per run of
+/// their verbatim entries; a thin column's survivors keep their encoded
+/// bytes, one copy per run, and only a record after a gap is re-coded.
+/// Slim-dropped collections become empty rows without their source
+/// column being touched at all, and the jet cap truncates by entry
+/// arithmetic. The surviving *events* are exactly those
 /// [`crate::skim::skim_slim_streaming_with`] keeps over the row encoding of
 /// the same data; byte accounting in the report is per-format (file
-/// sizes), since the two layouts price the same events differently.
+/// sizes), since the two layouts price the same events differently. The
+/// output is canonical: [`ColumnarFile::from_rows`] over the survivors
+/// writes the same bytes.
 ///
 /// When `registry` is given, `tier.columnar.cols_read` /
 /// `tier.columnar.cols_skipped` count the columns the pass did and did
@@ -1674,8 +2091,9 @@ pub fn skim_slim_columnar(
 
 /// [`skim_slim_columnar`] with a per-survivor callback receiving each
 /// slimmed event (the workflow fills the analysis ntuple with it). Only
-/// survivors are decoded, only their kept columns, each into the one
-/// scratch event the callback borrows.
+/// survivors are decoded, only their kept columns — read from the one
+/// compact copy of their records the skim keeps while it writes them —
+/// each into the one scratch event the callback borrows.
 pub fn skim_slim_columnar_with(
     file: &Bytes,
     selection: &Selection,
@@ -1684,6 +2102,63 @@ pub fn skim_slim_columnar_with(
     mut on_survivor: impl FnMut(&AodEvent),
 ) -> Result<(Bytes, SkimReport), CodecError> {
     skim_columnar_core(file, selection, slim, registry, Some(&mut on_survivor))
+}
+
+/// The columns a skim's output (and its survivor callback) keeps under
+/// `slim`.
+fn kept_columns(slim: &SlimSpec) -> [bool; N_COLUMNS] {
+    let mut k = [false; N_COLUMNS];
+    k[ColumnId::Header as usize] = true;
+    k[ColumnId::Scalars as usize] = true;
+    k[ColumnId::ElectronP4 as usize] = slim.keep_electrons;
+    k[ColumnId::ElectronId as usize] = slim.keep_electrons;
+    k[ColumnId::MuonP4 as usize] = slim.keep_muons;
+    k[ColumnId::MuonId as usize] = slim.keep_muons;
+    k[ColumnId::Photon as usize] = slim.keep_photons;
+    k[ColumnId::JetP4 as usize] = slim.max_jets > 0;
+    k[ColumnId::JetId as usize] = slim.max_jets > 0;
+    k[ColumnId::Candidate as usize] = slim.keep_candidates;
+    k
+}
+
+/// The survivors' share of a column whose row index is `starts`: for a
+/// variable column, their entry counts (capped at `cap`) into `counts`
+/// and the input entry ranges they keep into `kept`; for a fixed column,
+/// the survivor runs themselves into `kept`. Adjacent ranges are merged.
+fn kept_entries(
+    layout: ColumnLayout,
+    starts: &[u32],
+    runs: &[(usize, usize)],
+    cap: Option<usize>,
+    counts: &mut Vec<u32>,
+    kept: &mut Vec<(usize, usize)>,
+) {
+    counts.clear();
+    kept.clear();
+    let mut keep = |a: usize, b: usize| {
+        if a < b {
+            match kept.last_mut() {
+                Some(last) if last.1 == a => last.1 = b,
+                _ => kept.push((a, b)),
+            }
+        }
+    };
+    for &(a, b) in runs {
+        match (layout, cap) {
+            (ColumnLayout::Fixed(_), _) => keep(a, b),
+            (ColumnLayout::Var(_), None) => {
+                counts.extend((a..b).map(|row| starts[row + 1] - starts[row]));
+                keep(starts[a] as usize, starts[b] as usize);
+            }
+            (ColumnLayout::Var(_), Some(max)) => {
+                for row in a..b {
+                    let n = (starts[row + 1] - starts[row]).min(max as u32);
+                    counts.push(n);
+                    keep(starts[row] as usize, (starts[row] + n) as usize);
+                }
+            }
+        }
+    }
 }
 
 fn skim_columnar_core(
@@ -1696,138 +2171,135 @@ fn skim_columnar_core(
     let cf = ColumnarFile::parse(file)?;
     let mut cache = ColumnCache::new(&cf);
     let mask = eval_mask(&mut cache, selection)?;
-
-    // Columns the output (and the survivor callback) needs.
-    let keep: [bool; N_COLUMNS] = {
-        let mut k = [false; N_COLUMNS];
-        k[ColumnId::Header as usize] = true;
-        k[ColumnId::Scalars as usize] = true;
-        k[ColumnId::ElectronP4 as usize] = slim.keep_electrons;
-        k[ColumnId::ElectronId as usize] = slim.keep_electrons;
-        k[ColumnId::MuonP4 as usize] = slim.keep_muons;
-        k[ColumnId::MuonId as usize] = slim.keep_muons;
-        k[ColumnId::Photon as usize] = slim.keep_photons;
-        k[ColumnId::JetP4 as usize] = slim.max_jets > 0;
-        k[ColumnId::JetId as usize] = slim.max_jets > 0;
-        k[ColumnId::Candidate as usize] = slim.keep_candidates;
-        k
-    };
-    for (i, kept) in keep.iter().enumerate() {
-        if *kept {
-            cache.ensure(ColumnId::ALL[i])?;
+    let keep = kept_columns(slim);
+    let cols_read = (0..N_COLUMNS)
+        .filter(|&i| keep[i] || cache.readers[i].is_some())
+        .count() as u64;
+    // Only the kept fat columns are read through their reader again.
+    for (i, id) in ColumnId::ALL.iter().enumerate() {
+        if !keep[i] || delta_plan(*id).is_some() {
+            cache.readers[i] = None;
         }
     }
 
-    let survivors: Vec<u32> = mask
-        .iter()
-        .enumerate()
-        .filter_map(|(row, keep)| keep.then_some(row as u32))
-        .collect();
-    let n_out = survivors.len();
-
-    // Consecutive surviving rows are contiguous in every column frame,
-    // so each run of the mask is one memcpy per column instead of one
-    // per row — on low-rejection skims this collapses ~n_rows copies
-    // into a handful.
-    let runs: Vec<(usize, usize)> = {
-        let mut runs = Vec::new();
-        let mut it = survivors.iter().peekable();
-        while let Some(&start) = it.next() {
-            let mut end = start;
-            while it.peek().is_some_and(|&&next| next == end + 1) {
-                end = *it.next().expect("peeked");
-            }
-            runs.push((start as usize, end as usize + 1));
+    // Runs of consecutive survivors: contiguous bytes in every column.
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    for row in (0..cf.n_rows).filter(|&row| mask[row]) {
+        match runs.last_mut() {
+            Some(last) if last.1 == row => last.1 = row + 1,
+            _ => runs.push((row, row + 1)),
         }
-        runs
-    };
+    }
+    drop(mask);
+    let n_out: usize = runs.iter().map(|(a, b)| b - a).sum();
 
-    // One column scratch (counts + entries) is reused (cleared, capacity
-    // kept) across all ten columns, so the pass holds a single column
-    // plus the much smaller encoded frames instead of ten columns at
-    // once, and is freed before the output is assembled.
-    let frames: [BytesMut; N_COLUMNS] = {
-        let mut counts: Vec<u32> = Vec::with_capacity(n_out);
-        let mut entries = BytesMut::new();
-        let mut frames: [BytesMut; N_COLUMNS] = Default::default();
-        for (i, id) in ColumnId::ALL.iter().enumerate() {
+    // The frames go straight into the output file behind the space its
+    // header and table take, sized for the input file, which the output
+    // does not outgrow in practice. `recs` holds the current column's
+    // kept records (absolute), for its raw fallback; with a callback,
+    // each kept column's are then handed to the row decoder.
+    let with_callback = on_survivor.is_some();
+    let mut out = BytesMut::with_capacity(file.len());
+    out.put_slice(&[0; FRAMES_BASE]);
+    let mut lens = [0usize; N_COLUMNS];
+    let mut recs: Vec<u8> = Vec::new();
+    let mut decoded: [Option<ColumnReader>; N_COLUMNS] = Default::default();
+    let (mut starts, mut counts, mut kept) = (Vec::new(), Vec::new(), Vec::new());
+    // The survivor callback decodes off trusted frames, so a p4/id count
+    // mismatch is an error there; it is reported once every column is
+    // written, as the check over all opened columns reported it.
+    let mut mismatch = Ok(());
+    for (i, &id) in ColumnId::ALL.iter().enumerate() {
+        let at = out.len();
+        recs.clear();
+        let cap = (matches!(id, ColumnId::JetP4 | ColumnId::JetId) && slim.max_jets != u32::MAX)
+            .then_some(slim.max_jets as usize);
+        if !keep[i] {
+            // Dropped collection: every surviving row becomes count = 0,
+            // without ever opening the source column.
             counts.clear();
-            entries.clear();
-            if !keep[i] {
-                // Dropped collection: every surviving row becomes count = 0,
-                // without ever opening the source column.
-                counts.resize(n_out, 0);
-                frames[i] = encode_column(*id, &counts, &entries);
-                continue;
-            }
-            let col = cache.get(*id);
-            // The runs' extents bound the kept bytes (exactly, under no
-            // jet cap).
-            entries.reserve(runs.iter().map(|&(a, b)| col.span(a, b).len()).sum());
-            let cap = (matches!(id, ColumnId::JetP4 | ColumnId::JetId)
-                && slim.max_jets != u32::MAX)
-                .then_some(slim.max_jets as usize);
-            for &(a, b) in &runs {
-                match (id.layout(), cap) {
-                    // A run of rows is contiguous in every column: one copy.
-                    (ColumnLayout::Fixed(_), _) => entries.put_slice(col.span(a, b)),
-                    (ColumnLayout::Var(_), None) => {
-                        counts.extend((a..b).map(|row| col.count(row) as u32));
-                        entries.put_slice(col.span(a, b));
-                    }
-                    // Capped jets keep each row's leading entries.
-                    (ColumnLayout::Var(entry), Some(max)) => {
-                        for row in a..b {
-                            let n = col.count(row).min(max);
-                            counts.push(n as u32);
-                            entries.put_slice(&col.row(row)[..n * entry]);
-                        }
-                    }
+            counts.resize(n_out, 0);
+            put_column(&mut out, id, &counts, &[]);
+        } else if delta_plan(id).is_some() {
+            let frame = cf.frame(id, false)?;
+            let Body::Records(records) = walk_rows(id, cf.version, frame, cf.n_rows, &mut starts)?
+            else {
+                unreachable!("a column with a field plan holds records");
+            };
+            kept_entries(id.layout(), &starts, &runs, cap, &mut counts, &mut kept);
+            let start = begin_delta(&mut out, id, &counts);
+            records.walk(&starts, &kept, &mut recs, Some(&mut out))?;
+            end_delta(&mut out, start, id, &counts, &recs);
+            if let Some(&(p4, _)) = PAIRS.iter().find(|&&(_, i)| i == id) {
+                if with_callback {
+                    mismatch =
+                        mismatch.and_then(|()| check_pair(p4, id, &cache.get(p4).starts, &starts));
                 }
             }
-            frames[i] = encode_column(*id, &counts, &entries);
+        } else {
+            cache.ensure(id)?;
+            let col = cache.get(id);
+            kept_entries(col.layout, &col.starts, &runs, cap, &mut counts, &mut kept);
+            let ColumnLayout::Var(entry) = col.layout else {
+                unreachable!("every fat column is variable");
+            };
+            let chunks = kept
+                .iter()
+                .map(|&(a, b)| &col.payload[a * entry..b * entry]);
+            put_fat(&mut out, id, &counts, chunks.clone());
+            if with_callback {
+                recs.reserve(chunks.clone().map(<[u8]>::len).sum());
+                chunks.for_each(|chunk| recs.extend_from_slice(chunk));
+            } else {
+                cache.readers[i] = None;
+            }
         }
-        frames
-    };
+        lens[i] = out.len() - at;
+        if with_callback && keep[i] {
+            let starts = match id.layout() {
+                ColumnLayout::Fixed(_) => Vec::new(),
+                ColumnLayout::Var(_) => std::iter::once(0)
+                    .chain(counts.iter().scan(0, |total, &c| {
+                        *total += c;
+                        Some(*total)
+                    }))
+                    .collect(),
+            };
+            decoded[i] = Some(ColumnReader {
+                layout: id.layout(),
+                payload: Bytes::from(std::mem::take(&mut recs)),
+                starts,
+            });
+        }
+    }
+    drop(cache);
 
     if let Some(reg) = registry {
-        let read = cache.opened() as u64;
-        reg.counter("tier.columnar.cols_read").add(read);
+        reg.counter("tier.columnar.cols_read").add(cols_read);
         reg.counter("tier.columnar.cols_skipped")
-            .add(N_COLUMNS as u64 - read);
+            .add(N_COLUMNS as u64 - cols_read);
     }
 
-    // The decoded input columns are dropped once the survivors are
-    // materialized, so the pass never holds them beside the output.
-    let ColumnCache {
-        readers: mut slots, ..
-    } = cache;
     if let Some(cb) = on_survivor {
-        // Decode survivors (slimmed) straight off the kept input columns
-        // into one reused scratch event — non-survivors and dropped
-        // collections never decode; a dropped collection reads as an
-        // empty column. The trusted open skipped the digests, so the
-        // decoder's p4/id pairing is checked first, as the verified
-        // read checks it.
-        let readers: [ColumnReader; N_COLUMNS] = std::array::from_fn(|i| match slots[i].take() {
-            Some(r) if keep[i] => r,
-            // Only variable columns are ever dropped.
-            _ => ColumnReader {
-                layout: ColumnId::ALL[i].layout(),
+        mismatch?;
+        // Survivors (slimmed) decode off the kept records into one reused
+        // scratch event. A dropped collection's reader stays empty: the
+        // row decoder never reads it.
+        let readers = decoded.map(|r| {
+            r.unwrap_or(ColumnReader {
+                layout: ColumnLayout::Fixed(0),
                 payload: Bytes::new(),
-                starts: vec![0; cf.n_rows + 1],
-            },
+                starts: Vec::new(),
+            })
         });
-        cross_check_counts(&readers, cf.n_rows)?;
         let mut ev = AodEvent::new(EventHeader::new(0, 0, 0));
-        for &row in &survivors {
-            decode_row_into(&readers, row as usize, slim, &mut ev);
+        for row in 0..n_out {
+            decode_row_into(&readers, row, slim, &mut ev);
             cb(&ev);
         }
     }
-    drop(slots);
 
-    let out = assemble_file(COLUMNAR_VERSION, n_out as u32, &frames);
+    let out = seal_file(out, COLUMNAR_VERSION, n_out as u32, &lens);
     let report = SkimReport {
         events_in: cf.n_rows as u64,
         events_out: n_out as u64,
@@ -1838,12 +2310,15 @@ fn skim_columnar_core(
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::Encodable;
     use crate::skim::skim_slim;
 
-    fn sample_events(n: usize) -> Vec<AodEvent> {
+    pub(super) fn sample_events(n: usize) -> Vec<AodEvent> {
         (0..n)
             .map(|i| {
                 let mut ev = AodEvent::new(EventHeader::new(
@@ -2163,16 +2638,20 @@ mod tests {
                 ..ev.clone()
             })
             .collect();
-        let cols = ColumnId::ALL.map(|id| {
+        let mut buf = BytesMut::new();
+        buf.put_slice(&[0; FRAMES_BASE]);
+        let lens = ColumnId::ALL.map(|id| {
             let src = if id == ColumnId::ElectronId {
                 &bare
             } else {
                 &events
             };
             let (counts, entries) = build_column(id, src);
-            encode_column(id, &counts, &entries)
+            let at = buf.len();
+            put_column(&mut buf, id, &counts, &entries);
+            buf.len() - at
         });
-        let file = assemble_file(COLUMNAR_VERSION, 4, &cols);
+        let file = seal_file(buf, COLUMNAR_VERSION, 4, &lens);
         let verified = ColumnarFile::parse(&file)
             .and_then(|f| f.to_rows())
             .expect_err("verified read checks the pairing");
@@ -2368,8 +2847,10 @@ mod tests {
             let mut out = BytesMut::new();
             put_counts(&mut out, counts, mode);
             assert_eq!(out.len(), len, "sized length of {counts:?}");
-            let mut off = 0usize;
-            assert_eq!(decode_counts(&out, &mut off, counts.len()).unwrap(), counts);
+            let (mut off, mut starts) = (0usize, Vec::new());
+            decode_counts(&out, &mut off, counts.len(), &mut starts).unwrap();
+            let decoded: Vec<u32> = starts.windows(2).map(|w| w[1] - w[0]).collect();
+            assert_eq!(decoded, counts);
             assert_eq!(off, out.len());
             out.to_vec()
         };
@@ -2394,7 +2875,8 @@ mod tests {
         assert_eq!(block(&mixed)[0], COUNTS_VARINT);
         // A skim that drops a collection writes an all-zero fat column:
         // it is still delta (a counts block), far below raw.
-        let frame = encode_column(ColumnId::Photon, &[0; 1000], &[]);
+        let mut frame = BytesMut::new();
+        put_column(&mut frame, ColumnId::Photon, &[0; 1000], &[]);
         assert_eq!(frame[0], TAG_DELTA);
         assert_eq!(&frame[1..], &zeros[..]);
     }
@@ -2422,6 +2904,11 @@ mod tests {
     /// RLE run and its scalars column a two-entry dictionary. Readers
     /// keep decoding both.
     const LEGACY_V2: &[u8] = include_bytes!("../../../tests/golden/dpcf-v2-dict-rle.dpcf");
+
+    /// The legacy file [`LEGACY_V2`] as the readers take it.
+    pub(super) fn legacy_file() -> Bytes {
+        Bytes::from_static(LEGACY_V2)
+    }
 
     /// 40 events with one identical muon each and MET alternating
     /// between two values.
@@ -2452,7 +2939,7 @@ mod tests {
 
     #[test]
     fn legacy_dictionary_and_rle_frames_still_decode() {
-        let file = Bytes::from_static(LEGACY_V2);
+        let file = legacy_file();
         let events = legacy_events();
         let parsed = ColumnarFile::parse(&file).expect("legacy file parses");
         assert_eq!(parsed.version(), COLUMNAR_VERSION);

@@ -10,6 +10,7 @@ use bytes::Bytes;
 use daspos_hep::{EventHeader, FourVector};
 use daspos_reco::objects::{AodEvent, Electron, Jet, Met, Muon, Photon, TwoProngCandidate};
 use daspos_tiers::codec::Encodable;
+use daspos_tiers::colnar::fnv64_wide;
 use daspos_tiers::skim::{skim_slim_streaming_with, MassHypothesis, Selection, SlimSpec};
 use daspos_tiers::{
     encode_columnar_parallel, skim_slim_columnar, skim_slim_columnar_with, ColumnarFile,
@@ -120,8 +121,114 @@ fn slims() -> Vec<SlimSpec> {
     ]
 }
 
+/// A v2 file holding the same columns as the v1 file `v1` in raw (tag 0)
+/// frames: each v1 payload behind a zero tag byte, the table's offsets,
+/// lengths and digests rewritten to match.
+fn raw_frames_v2(v1: &Bytes) -> Bytes {
+    const HEADER: usize = 12;
+    const ENTRY: usize = 17;
+    let base = HEADER + 10 * ENTRY;
+    let mut out = v1[..base].to_vec();
+    out[4..6].copy_from_slice(&2u16.to_le_bytes());
+    let mut frames = Vec::new();
+    for i in 0..10 {
+        let e = HEADER + i * ENTRY;
+        let off = u32::from_le_bytes(v1[e + 1..e + 5].try_into().unwrap()) as usize;
+        let len = u32::from_le_bytes(v1[e + 5..e + 9].try_into().unwrap()) as usize;
+        let mut frame = vec![0u8];
+        frame.extend_from_slice(&v1[base + off..base + off + len]);
+        out[e + 1..e + 5].copy_from_slice(&(frames.len() as u32).to_le_bytes());
+        out[e + 5..e + 9].copy_from_slice(&(frame.len() as u32).to_le_bytes());
+        out[e + 9..e + 17].copy_from_slice(&fnv64_wide(&frame).to_le_bytes());
+        frames.extend_from_slice(&frame);
+    }
+    out.extend_from_slice(&frames);
+    Bytes::from(out)
+}
+
+/// A v2 file from a writer that still emitted the legacy dictionary and
+/// RLE frames (40 events: one identical muon each, MET alternating
+/// between two values, seven tracks).
+const LEGACY_V2: &[u8] = include_bytes!("../../../tests/golden/dpcf-v2-dict-rle.dpcf");
+
+/// The columnar skim of `file`, with and without the survivor callback,
+/// against the streaming row skim of the same `events`: same survivors
+/// and counts, the same output bytes either way, and those bytes exactly
+/// what the writer makes of the survivors.
+fn assert_canonical_skim(
+    file: &Bytes,
+    events: &[AodEvent],
+    selection: &Selection,
+    slim: &SlimSpec,
+) -> Result<(), TestCaseError> {
+    let mut row_survivors = Vec::new();
+    let (_, row_report) =
+        skim_slim_streaming_with(&AodEvent::encode_events(events), selection, slim, |ev| {
+            row_survivors.push(ev.clone());
+        })
+        .expect("row skim succeeds on a clean file");
+    let mut col_survivors = Vec::new();
+    let (col_out, col_report) = skim_slim_columnar_with(file, selection, slim, None, |ev| {
+        col_survivors.push(ev.clone());
+    })
+    .expect("columnar skim succeeds on a clean file");
+    let (plain_out, _) =
+        skim_slim_columnar(file, selection, slim, None).expect("columnar skim succeeds");
+    prop_assert_eq!(row_report.events_out, col_report.events_out);
+    prop_assert_eq!(&row_survivors, &col_survivors);
+    prop_assert_eq!(&plain_out, &col_out);
+    prop_assert_eq!(&col_out, &ColumnarFile::from_rows(&col_survivors));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // The skim copies a kept record's encoded bytes when its input
+    // predecessor was kept too and re-codes the rest, so its output must
+    // stay canonical across exactly what that rule turns on: runs of
+    // equal values (one-byte deltas), rows without entries, survivors at
+    // the first and the last row, gaps, and every jet cap — over v2, v1
+    // and raw-frame inputs of the same events and over the legacy
+    // dictionary/RLE file.
+    #[test]
+    fn columnar_skim_is_canonical_across_runs_gaps_caps_and_encodings(
+        picks in prop::collection::vec((0usize..4, prop::bool::ANY), 2..40),
+        templates in prop::collection::vec(arb_aod(), 4)
+    ) {
+        // Events drawn from four templates (one stripped of electrons and
+        // jets), so equal records repeat; the kept rows carry 100 tracks,
+        // and the first and last rows are always kept.
+        let last = picks.len() - 1;
+        let events: Vec<AodEvent> = picks.iter().enumerate().map(|(i, &(t, kept))| {
+            let mut ev = templates[t].clone();
+            if t == 3 {
+                ev.electrons.clear();
+                ev.jets.clear();
+            }
+            ev.header = EventHeader::new(194_270, 12, 900_000 + i as u64);
+            ev.n_tracks = if kept || i == 0 || i == last { 100 } else { 0 };
+            ev
+        }).collect();
+        let selection = Selection::NTracksAtLeast(100);
+        let max_jets = events.iter().map(|ev| ev.jets.len() as u32).max().unwrap_or(0);
+        let v1 = ColumnarFile::from_rows_v1(&events);
+        for file in [ColumnarFile::from_rows(&events), raw_frames_v2(&v1), v1] {
+            for cap in (0..=max_jets + 1).chain([u32::MAX]) {
+                let slim = SlimSpec { max_jets: cap, ..SlimSpec::keep_all() };
+                assert_canonical_skim(&file, &events, &selection, &slim)?;
+            }
+        }
+        let legacy = Bytes::from_static(LEGACY_V2);
+        let legacy_events = ColumnarFile::parse(&legacy)
+            .and_then(|f| f.to_rows())
+            .expect("legacy file decodes");
+        for selection in [Selection::All, Selection::MetAbove(10.0), Selection::MetAbove(10.0).not()] {
+            for slim in [SlimSpec::keep_all(), SlimSpec::leptons_only(), slims()[3]] {
+                assert_canonical_skim(&legacy, &legacy_events, &selection, &slim)?;
+            }
+        }
+    }
 
     // Clean round trip: rows → columnar → rows is the identity, and
     // re-encoding the recovered rows reproduces the columnar file
@@ -180,6 +287,9 @@ proptest! {
             .expect("columnar output decodes");
         prop_assert_eq!(&row_decoded, &row_survivors);
         prop_assert_eq!(&col_decoded, &col_survivors);
+        // And the columnar output is canonical: the bytes the writer
+        // produces for the survivors from scratch.
+        prop_assert_eq!(&col_out, &ColumnarFile::from_rows(&col_survivors));
     }
 
     // Losing any suffix must be detected at parse time — the column

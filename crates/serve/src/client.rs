@@ -64,12 +64,13 @@ impl ClientBuilder {
                 self.chunk_bytes
             )));
         }
-        let stream = TcpStream::connect(addr).map_err(|e| ServeError::Io(e.to_string()))?;
-        stream
-            .set_read_timeout(Some(self.op_timeout))
-            .map_err(|e| ServeError::Io(e.to_string()))?;
-        stream
-            .set_write_timeout(Some(self.op_timeout))
+        let stream = TcpStream::connect(addr)
+            .and_then(|stream| {
+                stream.set_nodelay(true)?;
+                stream.set_read_timeout(Some(self.op_timeout))?;
+                stream.set_write_timeout(Some(self.op_timeout))?;
+                Ok(stream)
+            })
             .map_err(|e| ServeError::Io(e.to_string()))?;
         Ok(ServeClient {
             stream,
@@ -134,6 +135,12 @@ impl ServeClient {
         }
     }
 
+    /// Send a payload-free `op` on `key` as this tenant.
+    fn control(&mut self, op: Op, key: &str) -> Result<Response, ServeError> {
+        let req = Request::control(op, &self.tenant, key);
+        self.request(&req)
+    }
+
     /// Store `payload` under this tenant's `key`.
     pub fn put(
         &mut self,
@@ -152,32 +159,27 @@ impl ServeClient {
 
     /// Fetch the object under this tenant's `key`.
     pub fn get(&mut self, key: &str) -> Result<Response, ServeError> {
-        let tenant = self.tenant.clone();
-        self.request(&Request::control(Op::Get, &tenant, key))
+        self.control(Op::Get, key)
     }
 
     /// Integrity-check one object (empty `key`: the whole vault).
     pub fn verify(&mut self, key: &str) -> Result<Response, ServeError> {
-        let tenant = self.tenant.clone();
-        self.request(&Request::control(Op::Verify, &tenant, key))
+        self.control(Op::Verify, key)
     }
 
     /// Trigger a repairing scrub of the whole vault.
     pub fn scrub(&mut self) -> Result<Response, ServeError> {
-        let tenant = self.tenant.clone();
-        self.request(&Request::control(Op::Scrub, &tenant, ""))
+        self.control(Op::Scrub, "")
     }
 
     /// Fetch server statistics.
     pub fn stat(&mut self) -> Result<Response, ServeError> {
-        let tenant = self.tenant.clone();
-        self.request(&Request::control(Op::Stat, &tenant, ""))
+        self.control(Op::Stat, "")
     }
 
     /// Ask the server to drain and exit.
     pub fn shutdown_server(&mut self) -> Result<Response, ServeError> {
-        let tenant = self.tenant.clone();
-        self.request(&Request::control(Op::Shutdown, &tenant, ""))
+        self.control(Op::Shutdown, "")
     }
 
     /// Stream everything `reader` yields to the server under `key`,
@@ -358,8 +360,7 @@ impl ServeClient {
     /// Best-effort stream abort after a mid-stream failure; the server
     /// sweeps orphans at the next commit to the key anyway.
     fn try_abort(&mut self, id: u64) {
-        let tenant = self.tenant.clone();
-        let _ = self.request(&Request::control(Op::PutAbort, &tenant, &id.to_string()));
+        let _ = self.control(Op::PutAbort, &id.to_string());
     }
 }
 

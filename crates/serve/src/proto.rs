@@ -407,8 +407,9 @@ fn within_frame_cap(declared: usize) -> Result<usize, ProtoError> {
 
 /// The sealed-body length a frame's 4-byte little-endian prefix
 /// declares, checked against [`MAX_FRAME_BYTES`] before a single body
-/// byte is buffered. The one frame-length check: the client, the
-/// server's connection mux and [`split_frame`] all read prefixes here.
+/// byte is buffered. The one frame-length check: [`crate::wire`], which
+/// both ends of a connection read frames with, and [`split_frame`] read
+/// prefixes here.
 pub fn frame_len(prefix: [u8; 4]) -> Result<usize, ProtoError> {
     within_frame_cap(u32::from_le_bytes(prefix) as usize)
 }

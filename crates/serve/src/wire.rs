@@ -1,5 +1,6 @@
-//! Blocking frame I/O over a `TcpStream`, the client's side of the
-//! protocol.
+//! Blocking frame I/O over a `TcpStream`, the one framing code both
+//! ends of a connection use: the client and each server connection
+//! thread.
 //!
 //! A frame is a 4-byte length prefix, checked by [`frame_len`] before a
 //! single body byte is buffered, then the sealed body. The stream's read

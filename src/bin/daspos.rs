@@ -158,22 +158,22 @@ USAGE:
         like scrub but read-only: report damage without repairing
   daspos serve    [--addr <host:port>] [--store <dir>]
                   [--replicas N | --erasure k,m]
-                  [--max-inflight N] [--pool N] [--streams N]
+                  [--max-inflight N] [--streams N]
                   [--scrub-ms N] [--default-quota B:I:O]
                   [--quota tenant=B:I:O[,tenant=…]]
         run the multi-tenant preservation service daemon: a framed
         DPRQ/DPRS protocol over one shared vault (a directory store with
-        --store, else in-memory), served by a fixed worker pool (--pool,
-        default 4) multiplexing every connection, an admission gate that
-        answers 'overloaded' past --max-inflight concurrent ops (default
-        64) or --streams open chunked uploads (default 32), per-tenant
-        quotas (BYTES:INFLIGHT:OPS-per-sec, 0 = unlimited; --default-quota
-        for everyone, --quota for per-tenant overrides) answered with
-        'quota-exceeded', and a background scrubber (--scrub-ms cadence,
-        0 disables) that yields to foreground traffic; objects larger
-        than one 16 MiB frame stream through chunked PUT/GET; prints the
-        bound address, serves until a client sends shutdown, then drains
-        and reports counters
+        --store, else in-memory), one thread per connection (past 1024
+        open connections a new one is answered 'overloaded' and closed),
+        an admission gate that answers 'overloaded' past --max-inflight
+        concurrent ops (default 64) or --streams open chunked uploads
+        (default 32), per-tenant quotas (BYTES:INFLIGHT:OPS-per-sec, 0 =
+        unlimited; --default-quota for everyone, --quota for per-tenant
+        overrides) answered with 'quota-exceeded', and a background
+        scrubber (--scrub-ms cadence, 0 disables) that yields to
+        foreground traffic; objects larger than one 16 MiB frame stream
+        through chunked PUT/GET; prints the bound address, serves until
+        a client sends shutdown, then drains and reports counters
   daspos serve    --selftest
         tier-1 smoke: in-process server + concurrent loadgen burst with
         byte-identity verification, a 64 MiB streamed round trip under
@@ -618,8 +618,10 @@ fn cmd_serve(args: &[String]) -> CliResult {
     if let Some(m) = flag(args, "--max-inflight") {
         builder = builder.max_inflight(m.parse().map_err(|_| "bad --max-inflight")?);
     }
-    if let Some(p) = flag(args, "--pool") {
-        builder = builder.pool_size(p.parse().map_err(|_| "bad --pool")?);
+    if args.iter().any(|a| a == "--pool") {
+        return Err(CliError::usage(
+            "--pool was removed: the server runs one thread per connection",
+        ));
     }
     if let Some(s) = flag(args, "--streams") {
         builder = builder.max_streams(s.parse().map_err(|_| "bad --streams")?);
@@ -699,10 +701,9 @@ fn cmd_serve(args: &[String]) -> CliResult {
         .map_err(|e| CliError::Failure(e.to_string()))?;
     println!("serving on {}", server.addr());
     eprintln!(
-        "  max in-flight {}, {} worker(s), scrub every {:?}; stop with \
+        "  max in-flight {}, scrub every {:?}; stop with \
          'daspos loadgen --addr {} --shutdown'",
         cfg.max_inflight(),
-        cfg.pool_size(),
         scrub,
         server.addr()
     );

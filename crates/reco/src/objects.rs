@@ -254,7 +254,11 @@ impl AodEvent {
             + self.candidates.len() * 96
     }
 
-    /// All charged leptons (e then μ), by descending pT.
+    /// All charged leptons (e then μ), by descending pT; the sort is
+    /// stable, so at equal pT an electron stays first. Each call
+    /// allocates and sorts a fresh list. The ntuple fill
+    /// (`daspos_tiers::Ntuple::append`) builds the same list, in the
+    /// same order, into a buffer it reuses across rows.
     pub fn leptons(&self) -> Vec<(FourVector, i8)> {
         let mut out: Vec<(FourVector, i8)> = self
             .electrons

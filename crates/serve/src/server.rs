@@ -41,7 +41,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -477,6 +477,8 @@ pub struct Service {
     config: ServeConfig,
     inflight: AtomicUsize,
     shutdown: AtomicBool,
+    /// Woken by [`Service::request_shutdown`] for the scrubber's wait.
+    shutdown_signal: (Mutex<()>, Condvar),
     scrub_cursor: Mutex<usize>,
     stats: ServiceStats,
     next_stream: AtomicU64,
@@ -522,6 +524,7 @@ impl Service {
             config: cfg.clone(),
             inflight: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
+            shutdown_signal: (Mutex::new(()), Condvar::new()),
             scrub_cursor: Mutex::new(0),
             stats: ServiceStats::default(),
             next_stream: AtomicU64::new(1),
@@ -564,7 +567,22 @@ impl Service {
 
     /// Ask every loop holding this service to drain and exit.
     pub fn request_shutdown(&self) {
+        // Stored under the lock, so a scrubber between its check and its
+        // wait cannot miss the notification.
+        let (lock, signal) = &self.shutdown_signal;
+        let _held = lock.lock().unwrap_or_else(|e| e.into_inner());
         self.shutdown.store(true, Ordering::SeqCst);
+        signal.notify_all();
+    }
+
+    /// Wait up to `timeout` for shutdown to be requested; whether it has.
+    fn wait_for_shutdown(&self, timeout: Duration) -> bool {
+        let (lock, signal) = &self.shutdown_signal;
+        let held = lock.lock().unwrap_or_else(|e| e.into_inner());
+        let (_held, _) = signal
+            .wait_timeout_while(held, timeout, |_| !self.shutdown_requested())
+            .unwrap_or_else(|e| e.into_inner());
+        self.shutdown_requested()
     }
 
     fn counter(&self, name: &str, n: u64) {
@@ -1379,8 +1397,7 @@ impl Server {
             let scrubber = std::thread::Builder::new()
                 .name(SCRUB_THREAD.to_string())
                 .spawn(move || {
-                    while !service.shutdown_requested() {
-                        std::thread::sleep(scrub_interval);
+                    while !service.wait_for_shutdown(scrub_interval) {
                         // Scrub failures must not kill the daemon; the next
                         // tick (or a client-requested scrub) retries.
                         let _ = service.scrub_step();
@@ -1544,6 +1561,22 @@ mod tests {
         let resp = read_response(&mut peer);
         assert_eq!((resp.op, resp.status), (Op::Stat, Status::Ok), "{}", resp.detail);
         server.stop();
+    }
+
+    #[test]
+    fn stop_does_not_wait_out_the_scrub_interval() {
+        let service = memory_service();
+        let payload = Bytes::from_static(b"scrub me");
+        service.vault().put("obj", ObjectKind::Opaque, &payload).unwrap();
+        let server =
+            Server::start(service.clone(), "127.0.0.1:0", Duration::from_secs(60)).unwrap();
+        // Let the scrubber reach its wait before shutdown is requested.
+        std::thread::sleep(Duration::from_millis(50));
+        let started = Instant::now();
+        server.stop();
+        assert!(started.elapsed() < Duration::from_secs(1), "{:?}", started.elapsed());
+        // Shutdown skips the step the interval would have run.
+        assert_eq!(service.stats().scrub_steps() + service.stats().scrub_yields(), 0);
     }
 
     #[test]

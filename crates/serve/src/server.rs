@@ -31,11 +31,12 @@
 //! to O(chunk) regardless of object size.
 //!
 //! Graceful shutdown: the `Shutdown` op (or [`Service::request_shutdown`])
-//! flips the flag; the accept loop stops taking connections and shuts
-//! the read side of every open one, which wakes its thread. Each thread
-//! still reads the frames its peer had already sent and answers them —
-//! accepted work is never dropped — then reads end-of-stream and exits;
-//! [`Server::join`] reaps all of it.
+//! flips the flag and connects once to each listener, whose blocked
+//! accept then stops taking connections and shuts the read side of every
+//! open one, which wakes its thread. Each thread still reads the frames
+//! its peer had already sent and answers them — accepted work is never
+//! dropped — then reads end-of-stream and exits; [`Server::join`] reaps
+//! all of it.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -479,6 +480,8 @@ pub struct Service {
     shutdown: AtomicBool,
     /// Woken by [`Service::request_shutdown`] for the scrubber's wait.
     shutdown_signal: (Mutex<()>, Condvar),
+    /// Each [`Server`]'s listening address, where its accept is woken.
+    listeners: Mutex<Vec<SocketAddr>>,
     scrub_cursor: Mutex<usize>,
     stats: ServiceStats,
     next_stream: AtomicU64,
@@ -525,6 +528,7 @@ impl Service {
             inflight: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             shutdown_signal: (Mutex::new(()), Condvar::new()),
+            listeners: Mutex::new(Vec::new()),
             scrub_cursor: Mutex::new(0),
             stats: ServiceStats::default(),
             next_stream: AtomicU64::new(1),
@@ -573,6 +577,10 @@ impl Service {
         let _held = lock.lock().unwrap_or_else(|e| e.into_inner());
         self.shutdown.store(true, Ordering::SeqCst);
         signal.notify_all();
+        // One connection wakes each blocked accept (a wildcard one locally).
+        for addr in self.listeners.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+            let _ = TcpStream::connect_timeout(addr, Duration::from_secs(1));
+        }
     }
 
     /// Wait up to `timeout` for shutdown to be requested; whether it has.
@@ -598,21 +606,11 @@ impl Service {
     }
 
     fn try_admit(&self) -> Option<Admission<'_>> {
-        let admitted = self
-            .inflight
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                if n < self.config.max_inflight() {
-                    Some(n + 1)
-                } else {
-                    None
-                }
-            })
-            .is_ok();
-        if admitted {
-            Some(Admission(&self.inflight))
-        } else {
-            None
-        }
+        let max = self.config.max_inflight();
+        self.inflight
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| (n < max).then_some(n + 1))
+            .ok()
+            .map(|_| Admission(&self.inflight))
     }
 
     /// Per-tenant admission: charge the token bucket, then claim an
@@ -1380,7 +1378,7 @@ impl Server {
             reason: e.to_string(),
         })?;
         let local = listener.local_addr().map_err(io)?;
-        listener.set_nonblocking(true).map_err(io)?;
+        service.listeners.lock().unwrap_or_else(|e| e.into_inner()).push(local);
         let mut server = Server {
             addr: local,
             service: service.clone(),
@@ -1445,11 +1443,14 @@ impl Server {
 /// which shutdown ends the thread's reads.
 fn accept_loop(listener: TcpListener, service: &Arc<Service>, cap: usize) {
     let mut open: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
-    while !service.shutdown_requested() {
-        let mut stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            // Nothing to accept yet (or a transient failure).
+    for accepted in listener.incoming() {
+        // The connection that wakes a shutdown is not served.
+        if service.shutdown_requested() {
+            break;
+        }
+        let mut stream = match accepted {
+            Ok(stream) => stream,
+            // A transient failure, such as running out of descriptors.
             Err(_) => {
                 std::thread::sleep(Duration::from_millis(1));
                 continue;
@@ -1498,8 +1499,7 @@ fn spawn_connection(service: &Arc<Service>, stream: &TcpStream) -> std::io::Resu
 /// that desyncs the stream, or until shutdown ends the reads.
 fn serve_connection(service: &Service, mut stream: TcpStream) {
     let configured = stream
-        .set_nonblocking(false)
-        .and_then(|()| stream.set_nodelay(true))
+        .set_nodelay(true)
         .and_then(|()| stream.set_read_timeout(Some(READ_TIMEOUT)))
         .and_then(|()| stream.set_write_timeout(Some(WRITE_TIMEOUT)));
     while configured.is_ok() {

@@ -355,3 +355,88 @@ fn usage_errors_name_the_problem_on_stderr() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("no-such-command"), "unhelpful stderr: {err}");
 }
+
+#[test]
+fn a_flag_before_the_positional_is_not_taken_for_it() {
+    // The table knows which flags take a value, so the positional
+    // argument is never a flag's value.
+    let dir = scratch("order");
+    let archive = dir.join("z.dpar");
+    let a = archive.to_str().unwrap();
+    let produce = run(&["produce", "--experiment", "cms", "--events", "20", "--threads", "1", "--out", a]);
+    assert_eq!(code(&produce), 0, "{}", String::from_utf8_lossy(&produce.stderr));
+
+    // An archive validates only on the platform its stack targets, so
+    // migrate it there first — with the flags ahead of the file too.
+    let el9 = dir.join("z-el9.dpar");
+    let el9_s = el9.to_str().unwrap();
+    let migrate = run(&["migrate", "--platform", "el9-x86_64", "--out", el9_s, a]);
+    assert_eq!(code(&migrate), 0, "{}", String::from_utf8_lossy(&migrate.stderr));
+    let validate = run(&["validate", "--platform", "el9-x86_64", el9_s]);
+    assert_eq!(code(&validate), 0, "{}", String::from_utf8_lossy(&validate.stderr));
+
+    let store = dir.join("v");
+    let store_s = store.to_str().unwrap();
+    assert_eq!(code(&run(&["vault", "put", a, "--store", store_s])), 0);
+    let out = dir.join("o");
+    let get = run(&["vault", "get", "--store", store_s, "z.dpar", "--out", out.to_str().unwrap()]);
+    assert_eq!(code(&get), 0, "{}", String::from_utf8_lossy(&get.stderr));
+    assert_eq!(std::fs::read(&out).unwrap(), std::fs::read(&archive).unwrap());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Exit 2 with `needle` on stderr.
+fn refused(args: &[&str], needle: &str) {
+    let out = run(args);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(code(&out), 2, "{args:?}: {err}");
+    assert!(err.contains(needle), "{args:?} must name {needle}: {err}");
+}
+
+#[test]
+fn flags_that_were_silently_ignored_are_refused() {
+    // Each of these ran (and exited 0) with the flag ignored, or with
+    // only its first occurrence read.
+    refused(&["faultlab", "--mutatoins", "5", "--events", "6"], "--mutatoins");
+    refused(&["experiment", "t1", "--bogus", "1"], "--bogus");
+    refused(&["faultlab", "--mutations", "3", "--mutations", "7"], "--mutations");
+    refused(&["produce", "--experiment", "cms", "--out", "z.dpar", "--seed"], "--seed");
+    refused(&["serve", "--selftest", "--addr", "x"], "--addr");
+}
+
+#[test]
+fn every_table_refuses_what_it_does_not_understand() {
+    // For each command, `vault` subcommand and `--selftest` mode: an
+    // invocation it accepts, and a flag it takes a value for but that
+    // invocation leaves out (`None` where the table holds no such flag).
+    let tables: &[(&[&str], Option<&str>)] = &[
+        (&["produce", "--experiment", "cms", "--out", "x.dpar"], Some("--seed")),
+        (&["inspect", "x.dpar"], None),
+        (&["validate", "x.dpar"], Some("--platform")),
+        (&["migrate", "x.dpar", "--out", "y.dpar"], Some("--platform")),
+        (&["trace"], Some("--events")),
+        (&["faultlab"], Some("--mutations")),
+        (&["vault", "put", "x", "--store", "s"], Some("--key")),
+        (&["vault", "get", "k", "--store", "s"], Some("--out")),
+        (&["vault", "scrub", "--store", "s"], Some("--threads")),
+        (&["vault", "scrub", "--selftest"], Some("--mutations")),
+        (&["vault", "verify", "--store", "s"], Some("--threads")),
+        (&["serve"], Some("--max-inflight")),
+        (&["serve", "--selftest"], None),
+        (&["loadgen", "--addr", "127.0.0.1:1"], Some("--clients")),
+        (&["experiment", "t1"], None),
+        (&["help"], None),
+    ];
+    for &(accepted, valued) in tables {
+        let with = |extra: &[&'static str]| [accepted, extra].concat();
+        refused(&with(&["--no-such-flag"]), "--no-such-flag");
+        refused(&with(&["stray-argument"]), "stray-argument");
+        if let Some(flag) = valued {
+            refused(&with(&[flag, "1", flag, "2"]), flag);
+            refused(&with(&[flag]), flag);
+            refused(&with(&[flag, "--no-such-flag"]), flag);
+        }
+    }
+    refused(&["serve", "--selftest", "--selftest"], "--selftest");
+}
